@@ -101,11 +101,20 @@ pub fn number(x: f64) -> String {
     }
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so outside input must not choose the recursion depth.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
+///
+/// # Errors
+///
+/// Malformed input, and arrays or objects nested deeper than
+/// [`MAX_DEPTH`], are reported as `Err`; no input panics.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -133,12 +142,16 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
@@ -207,17 +220,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash.
+                // Both are ASCII, so the run ends on a character boundary
+                // of the (valid UTF-8) input and decodes in one pass.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -226,7 +243,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -239,7 +256,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -252,7 +269,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -298,6 +315,26 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let past_limit = format!("[{at_limit}]");
+        assert!(parse(&past_limit).is_err());
+    }
+
+    #[test]
+    fn long_multibyte_string_round_trips() {
+        let original: String = "aé€😀\"\\\n".chars().cycle().take(200_000).collect();
+        let doc = format!("[\"{}\",1]", escape(&original));
+        let v = parse(&doc).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some(original.as_str()));
+        assert_eq!(items[1].as_f64(), Some(1.0));
     }
 
     #[test]

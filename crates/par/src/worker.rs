@@ -1,7 +1,8 @@
 //! The per-shard worker engine.
 //!
-//! One OS thread per shard. Each worker privately owns its shard's ready
-//! queue, partial-sum tree mirror, and event queue; the only shared
+//! One OS thread per shard. Each worker privately owns its shard's run
+//! queue (the simulator's [`RunQueue`], with one shard draining this
+//! worker's ledger dirty queue) and its event queue; the only shared
 //! mutable state is the ticket [`Ledger`] behind one
 //! [`lottery_sync::Mutex`] (the ledger's valuation cache is `Send` but
 //! not `Sync`). Cross-worker traffic — steal requests and thread
@@ -13,7 +14,8 @@
 //! The engine is a deliberate port of [`lottery_sim::smp::SmpKernel`]
 //! driving [`DistributedLottery`]: the same `(when, seq)` event queue,
 //! the same dispatch burst loop, the same ledger-operation order, and the
-//! same RNG discipline (one `next_f64` per non-degenerate draw). With one
+//! same run-queue code, so the same draw and RNG discipline (one
+//! `next_f64` per non-degenerate draw). With one
 //! worker there is no cross-thread traffic at all, and the winner stream
 //! is bit-identical to the simulated pair — the property
 //! `tests/equivalence.rs` proves. With several workers, virtual clocks
@@ -22,6 +24,7 @@
 //! never leaks, every thread has exactly one owner.
 //!
 //! [`DistributedLottery`]: lottery_sim::sched::distributed::DistributedLottery
+//! [`RunQueue`]: lottery_sim::sched::runqueue::RunQueue
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -29,15 +32,12 @@ use std::time::{Duration, Instant};
 
 use lottery_core::client::ClientId;
 use lottery_core::ledger::Ledger;
-use lottery_core::lottery::index::DenseIndex;
-use lottery_core::lottery::tree::TreeLottery;
-use lottery_core::lottery::TicketPool;
 use lottery_core::rng::ParkMiller;
-use lottery_core::rng::SchedRng;
 use lottery_obs::{EventKind, ProbeBus};
 use lottery_sim::prelude::{
-    CompensationHook, EndReason, EventQueue, SimDuration, SimTime, ThreadId,
+    CompensationHook, EndReason, EventQueue, SelectStructure, SimDuration, SimTime, ThreadId,
 };
+use lottery_sim::sched::runqueue::{DrawSite, RunQueue};
 use lottery_sync::channel::{Receiver, RecvTimeoutError, Sender};
 use lottery_sync::Mutex;
 
@@ -156,15 +156,8 @@ pub(crate) struct Worker {
     /// Owned threads, indexed by thread id.
     threads: Vec<Option<ParThread>>,
     exited: Vec<ThreadId>,
-    /// Ready queue in scan order; swap-removal mirrors the tree's slot
-    /// motion, as in the distributed policy.
-    ready: Vec<ThreadId>,
-    ready_pos: Vec<Option<u32>>,
-    /// Cached-weight mirror of `ready`.
-    tree: TreeLottery<ThreadId, f64, DenseIndex>,
-    /// Reverse map from ledger clients to owned threads.
-    client_threads: Vec<Option<ThreadId>>,
-    dirty_buf: Vec<ClientId>,
+    /// This shard's ready threads, mirrored by a partial-sum tree.
+    queue: RunQueue,
     winners: Vec<(u64, u32)>,
     comp: CompensationHook,
     bus: ProbeBus,
@@ -206,11 +199,7 @@ impl Worker {
             cpu_idle: true,
             threads: Vec::new(),
             exited: Vec::new(),
-            ready: Vec::new(),
-            ready_pos: Vec::new(),
-            tree: TreeLottery::with_index(pending.len().max(1)),
-            client_threads: Vec::new(),
-            dirty_buf: Vec::new(),
+            queue: RunQueue::new([id], SelectStructure::Tree),
             winners: Vec::new(),
             comp: CompensationHook::new(),
             bus,
@@ -225,15 +214,13 @@ impl Worker {
         // shard tree does until the first pick refreshes it.
         for p in pending {
             let tid = p.thread.tid;
-            let client = p.thread.client;
+            w.queue.map_client(p.thread.client, tid);
             w.store_thread(p.thread);
-            w.map_client(client, tid);
-            w.push_ready(tid);
-            w.tree.insert(tid, p.value);
+            w.queue.push_ready(tid, || p.value);
         }
         // The first spawn kicks the idle CPU, as `SmpKernel::spawn` does;
         // later spawns find it already kicked.
-        if !w.ready.is_empty() {
+        if !w.queue.is_empty() {
             w.cpu_idle = false;
             w.events.push(SimTime::ZERO, WEvent::CpuFree);
         }
@@ -264,7 +251,9 @@ impl Worker {
         self.serve_until_quiesce();
         // Settle our shard's pending invalidations now that no worker can
         // mutate the ledger: the reported total is exact.
-        self.refresh();
+        self.bus.set_time_us(self.clock.as_us());
+        self.queue
+            .refresh(0, &mut self.shared.ledger.lock(), &self.bus);
         WorkerReport {
             id: self.id,
             clock: self.clock,
@@ -279,8 +268,8 @@ impl Worker {
                 .filter_map(|slot| slot.as_ref().map(|t| t.tid))
                 .collect(),
             exited: self.exited,
-            ready: self.ready,
-            ready_total: self.tree.total(),
+            ready: self.queue.ready(0).to_vec(),
+            ready_total: self.queue.total(0),
         }
     }
 
@@ -302,13 +291,31 @@ impl Worker {
             WEvent::Wake { tid } => self.on_ready(tid, true),
             WEvent::Requeue { tid } => self.on_ready(tid, false),
             WEvent::CpuFree => {
-                self.refresh();
-                if self.ready.is_empty() {
+                // One ledger lock per decision: settle this shard's dirty
+                // batch, draw, and revoke the winner's compensation.
+                let mut ledger = self.shared.ledger.lock();
+                self.bus.set_time_us(self.clock.as_us());
+                self.queue.refresh(0, &mut ledger, &self.bus);
+                if self.queue.is_empty() {
                     self.cpu_idle = true;
-                } else {
-                    let tid = self.draw();
-                    self.dispatch(tid);
+                    return;
                 }
+                let threads = &self.threads;
+                let tid = self.queue.draw(
+                    0,
+                    Some(DrawSite {
+                        cpu: self.id,
+                        stolen: false,
+                    }),
+                    &ledger,
+                    &mut self.rng,
+                    &self.bus,
+                    |t| owned(threads, t).client,
+                );
+                let client = owned(&self.threads, tid).client;
+                self.comp.on_dispatch(&mut ledger, &self.bus, tid, client);
+                drop(ledger);
+                self.dispatch(tid);
             }
         }
     }
@@ -333,8 +340,7 @@ impl Worker {
             ledger.activate_client(client).expect("client liveness");
             ledger.cached_client_value(client).unwrap_or(0.0)
         };
-        self.push_ready(tid);
-        self.tree.insert(tid, value);
+        self.queue.push_ready(tid, || value);
         if wake {
             self.probe(self.clock, || EventKind::Wake {
                 thread: tid.index(),
@@ -346,56 +352,13 @@ impl Worker {
         }
     }
 
-    /// One lottery over the local tree; removes and returns the winner.
-    /// Same discipline as the distributed policy's `draw_from`: a winning
-    /// value is consumed from the RNG precisely when the pool has
-    /// positive value; a worthless pool degenerates to FIFO.
-    fn draw(&mut self) -> ThreadId {
-        let entries = self.ready.len() as u32;
-        let total = self.tree.total();
-        let (tid, winning) = if self.tree.is_empty() || total <= 0.0 {
-            (self.ready[0], -1.0)
-        } else {
-            let winning = self.rng.next_f64() * total;
-            let tid = self.tree.select(winning).copied().unwrap_or(self.ready[0]);
-            (tid, winning)
-        };
-        let levels = self.tree.depth();
-        let winner = tid.index();
-        self.probe(self.clock, || EventKind::LotteryDraw {
-            structure: "shard",
-            entries,
-            levels,
-            total,
-            winning,
-            winner,
-        });
-        let (cpu, shard) = (self.id, self.id);
-        self.probe(self.clock, || EventKind::ShardPick {
-            cpu,
-            shard,
-            stolen: false,
-        });
-        self.tree.remove(&tid);
-        self.remove_ready(tid);
-        let client = self.threads[tid.index() as usize]
-            .as_ref()
-            .expect("drawn thread is owned")
-            .client;
-        {
-            let mut ledger = self.shared.ledger.lock();
-            self.comp.on_dispatch(&mut ledger, &self.bus, tid, client);
-        }
-        tid
-    }
-
     /// Runs one quantum of `tid`: the SMP kernel's dispatch burst loop,
     /// verbatim, against the thread's [`WorkState`].
     fn dispatch(&mut self, tid: ThreadId) {
         let quantum = self.quantum;
         let start = self.clock;
         let idx = tid.index() as usize;
-        let queue_depth = self.ready.len() as u32;
+        let queue_depth = self.queue.len() as u32;
         let waited = {
             let thread = self.threads[idx].as_mut().expect("dispatched thread");
             let since = thread.ready_since.take().unwrap_or(start);
@@ -470,7 +433,7 @@ impl Worker {
             }
             EndReason::Blocked => {}
             EndReason::Exited => {
-                self.client_threads[client.index() as usize] = None;
+                self.queue.unmap_client(client);
                 {
                     let mut ledger = self.shared.ledger.lock();
                     ledger.deactivate_client(client).expect("client liveness");
@@ -495,88 +458,12 @@ impl Worker {
         }
     }
 
-    /// Settles this shard's pending valuation invalidations into the tree
-    /// under one lock acquisition — the per-decision dirty batch.
-    fn refresh(&mut self) {
-        let mut dirty = std::mem::take(&mut self.dirty_buf);
-        {
-            let mut ledger = self.shared.ledger.lock();
-            ledger.drain_dirty_shard_into(self.id, &mut dirty);
-            if !dirty.is_empty() && self.bus.is_enabled() {
-                let (shard, depth) = (self.id, dirty.len() as u32);
-                self.bus.set_time_us(self.clock.as_us());
-                self.bus.emit(|| EventKind::DirtyBatch { shard, depth });
-            }
-            for &client in &dirty {
-                let Some(tid) = self
-                    .client_threads
-                    .get(client.index() as usize)
-                    .copied()
-                    .flatten()
-                else {
-                    continue;
-                };
-                if !self.is_ready(tid) {
-                    continue;
-                }
-                let value = ledger.cached_client_value(client).unwrap_or(0.0);
-                self.tree.set_weight(&tid, value);
-            }
-        }
-        self.dirty_buf = dirty;
-    }
-
-    // ---------------------------------------------------------------
-    // Ready-queue bookkeeping (same swap-remove motion as the policy)
-    // ---------------------------------------------------------------
-
-    fn is_ready(&self, tid: ThreadId) -> bool {
-        self.ready_pos
-            .get(tid.index() as usize)
-            .copied()
-            .flatten()
-            .is_some()
-    }
-
-    fn push_ready(&mut self, tid: ThreadId) {
-        let idx = tid.index() as usize;
-        if self.ready_pos.len() <= idx {
-            self.ready_pos.resize(idx + 1, None);
-        }
-        debug_assert!(self.ready_pos[idx].is_none(), "double enqueue of {tid}");
-        self.ready_pos[idx] = Some(self.ready.len() as u32);
-        self.ready.push(tid);
-    }
-
-    fn remove_ready(&mut self, tid: ThreadId) -> bool {
-        let idx = tid.index() as usize;
-        let Some(pos) = self.ready_pos.get(idx).copied().flatten() else {
-            return false;
-        };
-        let pos = pos as usize;
-        self.ready.swap_remove(pos);
-        self.ready_pos[idx] = None;
-        if pos < self.ready.len() {
-            let moved = self.ready[pos];
-            self.ready_pos[moved.index() as usize] = Some(pos as u32);
-        }
-        true
-    }
-
     fn store_thread(&mut self, thread: ParThread) {
         let idx = thread.tid.index() as usize;
         if self.threads.len() <= idx {
             self.threads.resize_with(idx + 1, || None);
         }
         self.threads[idx] = Some(thread);
-    }
-
-    fn map_client(&mut self, client: ClientId, tid: ThreadId) {
-        let slot = client.index() as usize;
-        if self.client_threads.len() <= slot {
-            self.client_threads.resize(slot + 1, None);
-        }
-        self.client_threads[slot] = Some(tid);
     }
 
     // ---------------------------------------------------------------
@@ -603,7 +490,7 @@ impl Worker {
     fn handle_msg(&mut self, msg: Msg) {
         match msg {
             Msg::StealRequest { thief } => {
-                if self.steal && self.ready.len() > 1 {
+                if self.steal && self.queue.len() > 1 {
                     self.donate(thief);
                 } else {
                     self.reply(thief, Msg::StealFail);
@@ -623,15 +510,14 @@ impl Worker {
     /// migrate, so ownership moves in one message with no pending events
     /// left behind.
     fn donate(&mut self, thief: u32) {
-        let tid = *self.ready.last().expect("caller checked len > 1");
-        self.tree.remove(&tid);
-        self.remove_ready(tid);
+        let tid = *self.queue.ready(0).last().expect("caller checked len > 1");
+        self.queue.remove_ready(tid);
         let mut thread = self.threads[tid.index() as usize]
             .take()
             .expect("ready thread is owned");
         thread.ready_since = None;
         let client = thread.client;
-        self.client_threads[client.index() as usize] = None;
+        self.queue.unmap_client(client);
         {
             // Re-home the client's dirty notifications; invalidations
             // already queued on our shard drain here and skip the now-
@@ -654,13 +540,12 @@ impl Worker {
         let client = thread.client;
         thread.ready_since = Some(self.clock);
         self.store_thread(thread);
-        self.map_client(client, tid);
+        self.queue.map_client(client, tid);
         let value = {
             let ledger = self.shared.ledger.lock();
             ledger.cached_client_value(client).unwrap_or(0.0)
         };
-        self.push_ready(tid);
-        self.tree.insert(tid, value);
+        self.queue.push_ready(tid, || value);
         self.steals_in += 1;
         if self.cpu_idle {
             self.cpu_idle = false;
@@ -691,11 +576,11 @@ impl Worker {
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
-            if !self.ready.is_empty() {
+            if !self.queue.is_empty() {
                 return true;
             }
         }
-        !self.ready.is_empty()
+        !self.queue.is_empty()
     }
 
     /// After finishing the window: answer steal traffic until every
@@ -731,4 +616,11 @@ impl Worker {
             }
         }
     }
+}
+
+/// The thread a worker owns under `tid`.
+fn owned(threads: &[Option<ParThread>], tid: ThreadId) -> &ParThread {
+    threads[tid.index() as usize]
+        .as_ref()
+        .expect("drawn thread is owned")
 }

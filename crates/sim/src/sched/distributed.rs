@@ -1,14 +1,18 @@
-//! The distributed lottery policy (Section 4.2's closing remark).
+//! The distributed lottery (Section 4.2's closing remark).
 //!
 //! The paper notes the partial-sum tree "can also be used as the basis of
-//! a distributed lottery scheduler". This module builds that scheduler:
-//! one partial-sum tree per CPU *shard*, each client assigned a home
-//! shard, and every dispatch decision a purely local lottery over the
-//! picking CPU's own tree. Global proportional share is preserved because
-//! a client's tickets are worth the same base units wherever they live:
+//! a distributed lottery scheduler". [`DistributedLottery`] is that
+//! scheduler, and the uniprocessor
+//! [`LotteryPolicy`](super::lottery::LotteryPolicy) is its one-shard case:
+//! both are [`Lottery`], over one shard run queue
+//! ([`super::runqueue::RunQueue`]). This module holds what only the
+//! sharded mode has: one shard per CPU, each client assigned a home shard,
+//! and every dispatch decision a purely local lottery over the picking
+//! CPU's own shard. Global proportional share is preserved because a
+//! client's tickets are worth the same base units wherever they live:
 //! each CPU holds lotteries at the same rate, and a client holding value
-//! `v` on a shard of total `S` wins `v/S` of that shard's dispatches —
-//! so keeping per-shard totals balanced keeps machine-wide service
+//! `v` on a shard of total `S` wins `v/S` of that shard's dispatches — so
+//! keeping per-shard totals balanced keeps machine-wide service
 //! proportional to `v/T`.
 //!
 //! Three mechanisms keep the shards honest:
@@ -31,72 +35,22 @@
 //!   for an idle one ([`DistributedLottery::set_comp_aware_rebalance`]
 //!   exposes that ablation).
 //!
-//! With a single shard the policy is *bit-identical* to
-//! [`super::lottery::LotteryPolicy`] in tree mode: the same ledger
-//! operation sequence, the same ready/tree slot order, and the same RNG
-//! discipline (one `next_f64` per non-degenerate draw, none when the pool
-//! is worthless).
+//! With a single shard the policy draws exactly the winners
+//! `LotteryPolicy` draws in tree or alias mode: the same ledger operation
+//! sequence, the same slot order, and the same RNG discipline (one
+//! `next_f64` per non-degenerate draw, none when the pool is worthless).
+//!
+//! [`Ledger::drain_dirty_shard`]: lottery_core::ledger::Ledger::drain_dirty_shard
 
-use lottery_core::client::ClientId;
-use lottery_core::currency::CurrencyId;
-use lottery_core::errors::Result;
 use lottery_core::ledger::Ledger;
-use lottery_core::lottery::alias::AliasLottery;
-use lottery_core::lottery::index::DenseIndex;
-use lottery_core::lottery::tree::TreeLottery;
-use lottery_core::lottery::TicketPool;
-use lottery_core::rng::{ParkMiller, SchedRng};
-use lottery_core::ticket::TicketId;
-use lottery_obs::{EventKind, ProbeBus};
+use lottery_obs::EventKind;
 
-use super::comp::CompensationHook;
-use super::lottery::{FundingSpec, SelectStructure};
-use super::{EndReason, Policy};
+use super::lottery::{Lottery, SelectStructure, ShardMode, Sharded};
 use crate::thread::ThreadId;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
-#[derive(Debug, Clone, Copy)]
-struct ThreadFunding {
-    client: ClientId,
-    ticket: TicketId,
-}
-
-/// One CPU's slice of the machine: a ready queue mirrored by a winner
-/// structure (partial-sum tree or alias table) over the cached client
-/// values of its threads.
-#[derive(Debug)]
-struct Shard {
-    /// Ready threads homed here, in scan order; removal swap-removes so
-    /// the order always mirrors the mirror structure's slot order.
-    ready: Vec<ThreadId>,
-    /// Cached-weight mirror of `ready` (tree mode — the default). Thread
-    /// ids are dense, so the slot index is a flat table, not a hash map.
-    tree: TreeLottery<ThreadId, f64, DenseIndex>,
-    /// Cached-weight mirror of `ready` (alias mode).
-    alias: AliasLottery<ThreadId, DenseIndex>,
-    /// Lotteries resolved from this shard.
-    picks: u64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Self {
-            ready: Vec::new(),
-            tree: TreeLottery::with_index(1),
-            alias: AliasLottery::with_index(0),
-            picks: 0,
-        }
-    }
-
-    /// The active mirror's total under `structure`.
-    fn total(&self, structure: SelectStructure) -> f64 {
-        if structure == SelectStructure::Alias {
-            self.alias.total()
-        } else {
-            self.tree.total()
-        }
-    }
-}
+/// A lottery policy with one run-queue shard per CPU.
+pub type DistributedLottery = Lottery<Sharded>;
 
 /// Per-shard statistics, as reported by [`DistributedLottery::shard_stats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,55 +74,9 @@ pub struct ShardStats {
     pub dirty_depth: u32,
 }
 
-/// A lottery policy with one partial-sum tree per CPU.
-pub struct DistributedLottery {
-    ledger: Ledger,
-    rng: ParkMiller,
-    quantum: SimDuration,
-    /// Per-thread funding, indexed by thread id.
-    threads: Vec<Option<ThreadFunding>>,
-    /// Per-CPU shards; a thread's lotteries happen on its home shard.
-    shards: Vec<Shard>,
-    /// Home shard per thread, indexed by thread id.
-    home: Vec<u32>,
-    /// Membership index: thread id -> position in its home shard's
-    /// `ready`, `None` when not queued.
-    ready_pos: Vec<Option<u32>>,
-    /// Reverse map from ledger clients to threads (flat, indexed by the
-    /// client's arena slot), for routing sharded dirty notifications back
-    /// to mirror slots without hashing.
-    client_threads: Vec<Option<ThreadId>>,
-    /// Reusable drain buffer: no allocation per pick.
-    dirty_buf: Vec<ClientId>,
-    /// The per-shard winner-search structure ([`SelectStructure::List`]
-    /// has no distributed analogue and behaves like `Tree`).
-    structure: SelectStructure,
-    /// Shared compensation grant/revoke policy (Section 4.5).
-    comp: CompensationHook,
-    /// Whether homing, stealing, and rebalancing compare *effective*
-    /// (compensated) shard totals; `false` is the raw-weight ablation.
-    comp_aware: bool,
-    /// Lotteries held (for overhead accounting).
-    lotteries: u64,
-    /// Picks since the last rebalance check.
-    picks_since_check: u32,
-    /// How many picks between rebalance checks.
-    rebalance_interval: u32,
-    /// A shard is "heavy" when its total exceeds `bound × mean`.
-    imbalance_bound: f64,
-    /// Work-stealing picks (local tree was empty).
-    steals: u64,
-    /// Threads re-homed by rebalancing or explicit migration.
-    migrations: u64,
-    /// Rebalance rounds that found the bound violated.
-    rebalances: u64,
-    /// Probe bus for shard/draw observability (disabled by default).
-    bus: ProbeBus,
-}
-
-impl DistributedLottery {
-    /// Creates a distributed lottery over `shards` per-CPU trees with the
-    /// paper's 100 ms quantum.
+impl Lottery<Sharded> {
+    /// Creates a distributed lottery over `shards` per-CPU run queues
+    /// with the paper's 100 ms quantum.
     ///
     /// # Panics
     ///
@@ -184,36 +92,14 @@ impl DistributedLottery {
     /// Panics on zero shards or a zero quantum.
     pub fn with_quantum(seed: u32, shards: usize, quantum: SimDuration) -> Self {
         assert!(shards > 0, "a distributed lottery needs at least one shard");
-        assert!(!quantum.is_zero(), "quantum must be positive");
         let mut ledger = Ledger::new();
         ledger.set_dirty_shards(shards);
-        Self {
-            ledger,
-            rng: ParkMiller::new(seed),
-            quantum,
-            threads: Vec::new(),
-            shards: (0..shards).map(|_| Shard::new()).collect(),
-            home: Vec::new(),
-            ready_pos: Vec::new(),
-            client_threads: Vec::new(),
-            dirty_buf: Vec::new(),
-            structure: SelectStructure::Tree,
-            comp: CompensationHook::new(),
-            comp_aware: true,
-            lotteries: 0,
-            picks_since_check: 0,
-            rebalance_interval: 32,
-            imbalance_bound: 1.5,
-            steals: 0,
-            migrations: 0,
-            rebalances: 0,
-            bus: ProbeBus::disabled(),
-        }
+        Self::build(seed, quantum, ledger, shards as u32, SelectStructure::Tree)
     }
 
     /// Number of shards (one per CPU).
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.queue.shards()
     }
 
     /// Tunes the rebalancer: check every `interval` picks, and call a
@@ -227,25 +113,6 @@ impl DistributedLottery {
         assert!(bound >= 1.0, "imbalance bound must be at least 1");
         self.rebalance_interval = interval;
         self.imbalance_bound = bound;
-    }
-
-    /// Disables compensation tickets (the Section 4.5 ablation).
-    pub fn set_compensation_enabled(&mut self, enabled: bool) {
-        self.comp.set_enabled(enabled);
-    }
-
-    /// Whether compensation tickets are enabled (replay stamps capture
-    /// this switch).
-    pub fn compensation_enabled(&self) -> bool {
-        self.comp.enabled()
-    }
-
-    /// The Park–Miller state the next draw will consume — the replay
-    /// checkpoint. Passing this value as the seed of a fresh policy
-    /// reproduces the remaining draw stream exactly (seeds in
-    /// `[1, 2^31 - 2]` are taken verbatim).
-    pub fn rng_state(&self) -> u32 {
-        self.rng.state()
     }
 
     /// Chooses whether homing, stealing, and rebalancing compare
@@ -262,140 +129,9 @@ impl DistributedLottery {
         self.comp_aware
     }
 
-    /// Selects the per-shard winner-search structure, rebuilding every
-    /// shard's mirror from its ready queue (in queue order) with exact
-    /// values from the valuation cache. [`SelectStructure::List`] has no
-    /// distributed analogue and behaves like `Tree`. Emits one
-    /// [`EventKind::StructureRebuild`] per shard.
-    pub fn set_structure(&mut self, structure: SelectStructure) {
-        let structure = if structure == SelectStructure::Alias {
-            SelectStructure::Alias
-        } else {
-            SelectStructure::Tree
-        };
-        self.structure = structure;
-        for s in 0..self.shards.len() as u32 {
-            let start = std::time::Instant::now();
-            // Every ready weight is computed fresh below; notifications
-            // pending on this shard are obsolete.
-            let mut dirty = std::mem::take(&mut self.dirty_buf);
-            self.ledger.drain_dirty_shard_into(s, &mut dirty);
-            self.dirty_buf = dirty;
-            let sh = &mut self.shards[s as usize];
-            sh.tree = TreeLottery::with_index(sh.ready.len());
-            sh.alias = AliasLottery::with_index(sh.ready.len());
-            for i in 0..self.shards[s as usize].ready.len() {
-                let tid = self.shards[s as usize].ready[i];
-                let client = self.funding_info(tid).client;
-                let value = self.ledger.cached_client_value(client).unwrap_or(0.0);
-                let sh = &mut self.shards[s as usize];
-                if structure == SelectStructure::Alias {
-                    sh.alias.insert(tid, value);
-                } else {
-                    sh.tree.insert(tid, value);
-                }
-            }
-            let sh = &mut self.shards[s as usize];
-            if structure == SelectStructure::Alias {
-                sh.alias.rebuild();
-                sh.alias.take_rebuild_events();
-            }
-            let clients = sh.ready.len() as u32;
-            let rebuild_ns = start.elapsed().as_nanos() as u64;
-            self.bus.emit(|| EventKind::StructureRebuild {
-                structure: if structure == SelectStructure::Alias {
-                    "alias"
-                } else {
-                    "tree"
-                },
-                clients,
-                stale: 0,
-                rebuild_ns,
-            });
-        }
-    }
-
-    /// The active per-shard winner-search structure.
-    pub fn structure(&self) -> SelectStructure {
-        self.structure
-    }
-
-    /// A shard's weight as the load balancer sees it: the ready mirror
-    /// total, plus (in compensated mode) the `factor × funded` weight of
-    /// its resting compensated threads.
-    fn effective_total(&self, shard: u32) -> f64 {
-        let ready = self.shards[shard as usize].total(self.structure);
-        if self.comp_aware {
-            ready + self.ledger.compensation_resting_weight(shard)
-        } else {
-            ready
-        }
-    }
-
-    /// The base currency of this policy's ledger.
-    pub fn base_currency(&self) -> CurrencyId {
-        self.ledger.base()
-    }
-
-    /// Creates a currency backed by `amount` base-currency tickets.
-    pub fn create_currency(&mut self, name: &str, amount: u64) -> Result<CurrencyId> {
-        let cur = self.ledger.create_currency(name)?;
-        let backing = self.ledger.issue_root(self.ledger.base(), amount)?;
-        self.ledger.fund_currency(backing, cur)?;
-        Ok(cur)
-    }
-
-    /// Changes the face amount of a thread's funding ticket — dynamic
-    /// ticket inflation/deflation (Section 3.2).
-    pub fn set_funding(&mut self, tid: ThreadId, amount: u64) -> Result<()> {
-        let funding = self.funding_info(tid);
-        self.ledger.set_amount(funding.ticket, amount)?;
-        self.bus.emit(|| EventKind::WeightChange {
-            client: funding.client.index(),
-            tickets: amount,
-            origin: "set-funding",
-        });
-        Ok(())
-    }
-
-    /// The face amount of a thread's funding ticket.
-    pub fn funding(&self, tid: ThreadId) -> u64 {
-        self.ledger
-            .ticket(self.funding_info(tid).ticket)
-            .map(|t| t.amount())
-            .unwrap_or(0)
-    }
-
-    /// The ledger client backing a thread.
-    pub fn client_of(&self, tid: ThreadId) -> ClientId {
-        self.funding_info(tid).client
-    }
-
-    /// A thread's current value in base units (including compensation).
-    pub fn value_of(&self, tid: ThreadId) -> f64 {
-        self.ledger
-            .cached_client_value(self.funding_info(tid).client)
-            .unwrap_or(0.0)
-    }
-
     /// A thread's home shard.
     pub fn home_of(&self, tid: ThreadId) -> u32 {
-        self.home[tid.index() as usize]
-    }
-
-    /// Read access to the underlying ledger.
-    pub fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
-    /// Write access to the underlying ledger.
-    pub fn ledger_mut(&mut self) -> &mut Ledger {
-        &mut self.ledger
-    }
-
-    /// Number of lotteries held so far.
-    pub fn lotteries_held(&self) -> u64 {
-        self.lotteries
+        self.queue.home(tid) as u32
     }
 
     /// Work-stealing picks so far.
@@ -416,21 +152,21 @@ impl DistributedLottery {
     /// Per-shard statistics. Settles the shard's pending invalidations
     /// first so the reported totals are exact.
     pub fn shard_stats(&mut self, shard: u32) -> ShardStats {
-        self.refresh_shard(shard);
+        let s = shard as usize;
+        self.queue.refresh(s, &mut self.ledger, &self.bus);
         let threads = self
             .threads
             .iter()
             .enumerate()
-            .filter(|(i, f)| f.is_some() && self.home.get(*i) == Some(&shard))
+            .filter(|&(i, f)| f.is_some() && self.queue.home(ThreadId::from_index(i as u32)) == s)
             .count() as u32;
-        let sh = &self.shards[shard as usize];
         ShardStats {
             threads,
-            queue_depth: sh.ready.len() as u32,
-            ticket_total: sh.total(self.structure),
+            queue_depth: self.queue.ready(s).len() as u32,
+            ticket_total: self.queue.total(s),
             comp_weight: self.ledger.compensation_shard_weight(shard),
             resting_weight: self.ledger.compensation_resting_weight(shard),
-            picks: sh.picks,
+            picks: self.queue.picks(s),
             dirty_depth: self.ledger.dirty_shard_depth(shard) as u32,
         }
     }
@@ -438,45 +174,83 @@ impl DistributedLottery {
     /// Sum of every shard's mirror total, in base units — the
     /// machine-wide ready ticket value the conservation proptests check.
     pub fn ready_ticket_total(&mut self) -> f64 {
-        for s in 0..self.shards.len() as u32 {
-            self.refresh_shard(s);
+        for s in 0..self.queue.shards() {
+            self.queue.refresh(s, &mut self.ledger, &self.bus);
         }
-        self.shards.iter().map(|s| s.total(self.structure)).sum()
+        (0..self.queue.shards()).map(|s| self.queue.total(s)).sum()
     }
 
-    /// Re-homes a thread to `shard`, moving its ready entry, tree leaf,
+    /// Re-homes a thread to `shard`, moving its ready entry, mirror slot,
     /// and dirty-notification ownership.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range shard or an unregistered thread.
     pub fn migrate(&mut self, tid: ThreadId, shard: u32) {
-        assert!((shard as usize) < self.shards.len(), "no such shard");
-        let funding = self.funding_info(tid);
-        let from = self.home[tid.index() as usize];
+        assert!((shard as usize) < self.queue.shards(), "no such shard");
+        self.rehome(tid, shard);
+    }
+}
+
+impl<M: ShardMode> Lottery<M> {
+    /// A shard's weight as the load balancer sees it: the ready mirror
+    /// total, plus (in compensated mode) the `factor × funded` weight of
+    /// its resting compensated threads.
+    fn effective_total(&self, shard: usize) -> f64 {
+        let ready = self.queue.total(shard);
+        if self.comp_aware {
+            ready + self.ledger.compensation_resting_weight(shard as u32)
+        } else {
+            ready
+        }
+    }
+
+    /// The shard a fresh thread should call home: the one with the least
+    /// effective ticket value, ties to the lowest index.
+    pub(super) fn least_loaded_shard(&self) -> u32 {
+        let mut best = 0u32;
+        let mut best_total = f64::INFINITY;
+        for i in 0..self.queue.shards() {
+            let total = self.effective_total(i);
+            if total < best_total {
+                best_total = total;
+                best = i as u32;
+            }
+        }
+        best
+    }
+
+    /// The heaviest foreign shard with ready work, for stealing.
+    pub(super) fn steal_victim(&mut self, thief: usize) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for s in 0..self.queue.shards() {
+            if s == thief || self.queue.ready(s).is_empty() {
+                continue;
+            }
+            self.queue.refresh(s, &mut self.ledger, &self.bus);
+            let total = self.effective_total(s);
+            if best.is_none_or(|(_, t)| total > t) {
+                best = Some((s, total));
+            }
+        }
+        best.map(|(s, _)| s)
+    }
+
+    /// Moves a thread's home, ready entry, and dirty-notification
+    /// ownership to `shard`.
+    fn rehome(&mut self, tid: ThreadId, shard: u32) {
+        let client = self.funding_info(tid).client;
+        let from = self.queue.home(tid) as u32;
         if from == shard {
             return;
         }
-        let was_ready = self.remove_ready(tid);
+        let was_ready = self.queue.remove_ready(tid);
+        self.queue.set_home(tid, shard as usize);
+        self.ledger.assign_dirty_shard(client, shard);
         if was_ready {
-            let sh = &mut self.shards[from as usize];
-            sh.tree.remove(&tid);
-            sh.alias.remove(&tid);
-        }
-        self.home[tid.index() as usize] = shard;
-        self.ledger.assign_dirty_shard(funding.client, shard);
-        if was_ready {
-            self.push_ready(tid);
-            let value = self
-                .ledger
-                .cached_client_value(funding.client)
-                .unwrap_or(0.0);
-            let sh = &mut self.shards[shard as usize];
-            if self.structure == SelectStructure::Alias {
-                sh.alias.insert(tid, value);
-            } else {
-                sh.tree.insert(tid, value);
-            }
+            let ledger = &self.ledger;
+            self.queue
+                .push_ready(tid, || ledger.cached_client_value(client).unwrap_or(0.0));
         }
         self.migrations += 1;
         let thread = tid.index();
@@ -487,220 +261,22 @@ impl DistributedLottery {
         });
     }
 
-    fn funding_info(&self, tid: ThreadId) -> ThreadFunding {
-        self.threads
-            .get(tid.index() as usize)
-            .copied()
-            .flatten()
-            .expect("thread not registered with the distributed lottery")
-    }
-
-    /// The shard a fresh thread should call home: the one with the least
-    /// effective ticket value, ties to the lowest index.
-    fn least_loaded_shard(&self) -> u32 {
-        let mut best = 0u32;
-        let mut best_total = f64::INFINITY;
-        for i in 0..self.shards.len() as u32 {
-            let total = self.effective_total(i);
-            if total < best_total {
-                best_total = total;
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Whether a thread is on its home shard's ready queue (`O(1)`).
-    fn is_ready(&self, tid: ThreadId) -> bool {
-        self.ready_pos
-            .get(tid.index() as usize)
-            .copied()
-            .flatten()
-            .is_some()
-    }
-
-    /// Appends a thread to its home shard's ready queue.
-    fn push_ready(&mut self, tid: ThreadId) {
-        let idx = tid.index() as usize;
-        if self.ready_pos.len() <= idx {
-            self.ready_pos.resize(idx + 1, None);
-        }
-        debug_assert!(self.ready_pos[idx].is_none(), "double enqueue of {tid}");
-        let shard = &mut self.shards[self.home[idx] as usize];
-        self.ready_pos[idx] = Some(shard.ready.len() as u32);
-        shard.ready.push(tid);
-    }
-
-    /// Removes a thread from its home shard's ready queue in `O(1)`.
-    ///
-    /// Swap-removes — the same motion [`TreeLottery`]'s removal applies
-    /// to its leaf slots — so ready order and tree slot order stay
-    /// identical within every shard.
-    fn remove_ready(&mut self, tid: ThreadId) -> bool {
-        let idx = tid.index() as usize;
-        let Some(pos) = self.ready_pos.get(idx).copied().flatten() else {
-            return false;
-        };
-        let pos = pos as usize;
-        let shard = &mut self.shards[self.home[idx] as usize];
-        shard.ready.swap_remove(pos);
-        self.ready_pos[idx] = None;
-        if pos < shard.ready.len() {
-            let moved = shard.ready[pos];
-            self.ready_pos[moved.index() as usize] = Some(pos as u32);
-        }
-        true
-    }
-
-    /// Settles a shard's pending valuation invalidations into its mirror
-    /// structure (tree leaves or alias slots).
-    ///
-    /// Only this shard's dirty queue is drained — invalidations homed
-    /// elsewhere wait for their own shard's next pick.
-    fn refresh_shard(&mut self, shard: u32) {
-        let mut dirty = std::mem::take(&mut self.dirty_buf);
-        self.ledger.drain_dirty_shard_into(shard, &mut dirty);
-        if !dirty.is_empty() {
-            // One batch per dispatch decision: the shard's queue is
-            // drained into the reusable scratch buffer above (ascending
-            // client-id order) and revalued in a single pass.
-            let depth = dirty.len() as u32;
-            self.bus.emit(|| EventKind::DirtyBatch { shard, depth });
-        }
-        for &client in &dirty {
-            let Some(tid) = self
-                .client_threads
-                .get(client.index() as usize)
-                .copied()
-                .flatten()
-            else {
-                continue;
-            };
-            if !self.is_ready(tid) {
-                continue;
-            }
-            let value = self.ledger.cached_client_value(client).unwrap_or(0.0);
-            let sh = &mut self.shards[shard as usize];
-            if self.structure == SelectStructure::Alias {
-                sh.alias.set_weight(&tid, value);
-            } else {
-                sh.tree.set_weight(&tid, value);
-            }
-        }
-        self.dirty_buf = dirty;
-    }
-
-    /// The heaviest foreign shard with ready work, for stealing.
-    fn steal_victim(&mut self, thief: u32) -> Option<u32> {
-        let mut best: Option<(u32, f64)> = None;
-        for s in 0..self.shards.len() as u32 {
-            if s == thief || self.shards[s as usize].ready.is_empty() {
-                continue;
-            }
-            self.refresh_shard(s);
-            let total = self.effective_total(s);
-            if best.is_none_or(|(_, t)| total > t) {
-                best = Some((s, total));
-            }
-        }
-        best.map(|(s, _)| s)
-    }
-
-    /// Holds one lottery over `shard`'s tree and removes the winner.
-    ///
-    /// Mirrors [`super::lottery::LotteryPolicy`]'s tree draw exactly: a
-    /// winning value is consumed from the RNG precisely when the pool has
-    /// positive value; a worthless pool degenerates to FIFO without
-    /// drawing.
-    fn draw_from(&mut self, cpu: u32, shard: u32, stolen: bool) -> ThreadId {
-        self.lotteries += 1;
-        self.shards[shard as usize].picks += 1;
-        let alias_mode = self.structure == SelectStructure::Alias;
-        let sh = &self.shards[shard as usize];
-        let entries = sh.ready.len() as u32;
-        let total = sh.total(self.structure);
-        let empty = if alias_mode {
-            sh.alias.is_empty()
-        } else {
-            sh.tree.is_empty()
-        };
-        let (tid, winning) = if empty || total <= 0.0 {
-            (sh.ready[0], -1.0)
-        } else {
-            let winning = self.rng.next_f64() * total;
-            let sh = &mut self.shards[shard as usize];
-            let selected = if alias_mode {
-                sh.alias.select(winning).copied()
-            } else {
-                sh.tree.select(winning).copied()
-            };
-            let tid = selected.unwrap_or(self.shards[shard as usize].ready[0]);
-            (tid, winning)
-        };
-        let sh = &self.shards[shard as usize];
-        let levels = if alias_mode {
-            sh.alias.last_probes()
-        } else {
-            sh.tree.depth()
-        };
-        let winner = tid.index();
-        self.bus.emit(|| EventKind::LotteryDraw {
-            structure: if alias_mode { "shard-alias" } else { "shard" },
-            entries,
-            levels,
-            total,
-            winning,
-            winner,
-        });
-        self.bus
-            .emit(|| EventKind::ShardPick { cpu, shard, stolen });
-        if stolen {
-            self.steals += 1;
-            self.bus.emit(|| EventKind::ShardSteal {
-                cpu,
-                victim: shard,
-                thread: winner,
-            });
-        }
-        {
-            let sh = &mut self.shards[shard as usize];
-            sh.tree.remove(&tid);
-            sh.alias.remove(&tid);
-        }
-        self.remove_ready(tid);
-        if alias_mode {
-            for ev in self.shards[shard as usize].alias.take_rebuild_events() {
-                self.bus.emit(|| EventKind::StructureRebuild {
-                    structure: "alias",
-                    clients: ev.clients,
-                    stale: ev.stale,
-                    rebuild_ns: ev.rebuild_ns,
-                });
-            }
-        }
-        let client = self.funding_info(tid).client;
-        // The winner starts its quantum: revoke any compensation ticket
-        // through the shared hook (which emits the revocation event).
-        self.comp
-            .on_dispatch(&mut self.ledger, &self.bus, tid, client);
-        tid
-    }
-
     /// Checks per-shard effective totals and migrates ready threads from
     /// the heaviest shard to the lightest until the bound holds again.
-    fn maybe_rebalance(&mut self) {
-        for s in 0..self.shards.len() as u32 {
-            self.refresh_shard(s);
+    pub(super) fn maybe_rebalance(&mut self) {
+        let shards = self.queue.shards();
+        for s in 0..shards {
+            self.queue.refresh(s, &mut self.ledger, &self.bus);
         }
         // Sample the per-shard compensation share while the totals are
         // fresh; the aggregator's `lottery_compensation_weight{shard=…}`
         // gauges are fed from exactly these events.
         if self.bus.is_enabled() {
-            for s in 0..self.shards.len() as u32 {
-                let weight = self.ledger.compensation_shard_weight(s);
+            for s in 0..shards {
+                let weight = self.ledger.compensation_shard_weight(s as u32);
                 let total = self.effective_total(s);
                 self.bus.emit(|| EventKind::ShardCompensation {
-                    shard: s,
+                    shard: s as u32,
                     weight,
                     total,
                 });
@@ -709,11 +285,9 @@ impl DistributedLottery {
         let mut round = 0u64;
         // Each migration strictly shrinks the heaviest shard, so the
         // total ready count bounds the rounds.
-        let max_rounds = self.shards.iter().map(|s| s.ready.len() as u64).sum();
+        let max_rounds = self.queue.len() as u64;
         loop {
-            let totals: Vec<f64> = (0..self.shards.len() as u32)
-                .map(|s| self.effective_total(s))
-                .collect();
+            let totals: Vec<f64> = (0..shards).map(|s| self.effective_total(s)).collect();
             let sum: f64 = totals.iter().sum();
             let mean = sum / totals.len() as f64;
             let (heavy, &max_total) = totals
@@ -732,7 +306,7 @@ impl DistributedLottery {
                 });
             }
             round += 1;
-            if round > max_rounds || self.shards[heavy].ready.len() <= 1 {
+            if round > max_rounds || self.queue.ready(heavy).len() <= 1 {
                 break;
             }
             let (light, &min_total) = totals
@@ -746,7 +320,7 @@ impl DistributedLottery {
             // swap the imbalance and oscillate.
             let midpoint = (max_total - min_total) / 2.0;
             let mut choice: Option<(ThreadId, f64)> = None;
-            for &tid in &self.shards[heavy].ready {
+            for &tid in self.queue.ready(heavy) {
                 let v = self
                     .ledger
                     .cached_client_value(self.funding_info(tid).client)
@@ -765,145 +339,17 @@ impl DistributedLottery {
                 // shift.
                 break;
             };
-            self.migrate(tid, light as u32);
+            self.rehome(tid, light as u32);
         }
-    }
-}
-
-impl Policy for DistributedLottery {
-    type Spec = FundingSpec;
-
-    /// Registers a thread, homing it on the least-loaded shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the spec names a stale currency or a zero amount —
-    /// both are harness configuration bugs.
-    fn on_spawn(&mut self, tid: ThreadId, spec: FundingSpec) {
-        let client = self.ledger.create_client(format!("{tid}"));
-        let ticket = self
-            .ledger
-            .issue_root(spec.currency, spec.amount)
-            .expect("invalid funding spec");
-        self.ledger
-            .fund_client(ticket, client)
-            .expect("fresh client and ticket");
-        let idx = tid.index() as usize;
-        if self.threads.len() <= idx {
-            self.threads.resize(idx + 1, None);
-            self.home.resize(idx + 1, 0);
-        }
-        self.threads[idx] = Some(ThreadFunding { client, ticket });
-        let home = self.least_loaded_shard();
-        self.home[idx] = home;
-        self.ledger.assign_dirty_shard(client, home);
-        let slot = client.index() as usize;
-        if self.client_threads.len() <= slot {
-            self.client_threads.resize(slot + 1, None);
-        }
-        self.client_threads[slot] = Some(tid);
-        self.bus.emit(|| EventKind::WeightChange {
-            client: client.index(),
-            tickets: spec.amount,
-            origin: "spawn",
-        });
-    }
-
-    fn on_exit(&mut self, tid: ThreadId) {
-        let funding = self.funding_info(tid);
-        let home = self.home[tid.index() as usize];
-        if self.remove_ready(tid) {
-            let sh = &mut self.shards[home as usize];
-            sh.tree.remove(&tid);
-            sh.alias.remove(&tid);
-        }
-        self.client_threads[funding.client.index() as usize] = None;
-        self.ledger
-            .deactivate_client(funding.client)
-            .expect("client liveness");
-        self.ledger
-            .destroy_client_and_funding(funding.client)
-            .expect("client liveness");
-        self.threads[tid.index() as usize] = None;
-    }
-
-    fn enqueue(&mut self, tid: ThreadId, _now: SimTime) {
-        let funding = self.funding_info(tid);
-        self.ledger
-            .activate_client(funding.client)
-            .expect("client liveness");
-        self.push_ready(tid);
-        // Activation just invalidated the client, so this read revalues
-        // precisely the changed subgraph; siblings refresh at their own
-        // shard's next pick.
-        let value = self
-            .ledger
-            .cached_client_value(funding.client)
-            .unwrap_or(0.0);
-        let home = self.home[tid.index() as usize];
-        let sh = &mut self.shards[home as usize];
-        if self.structure == SelectStructure::Alias {
-            sh.alias.insert(tid, value);
-        } else {
-            sh.tree.insert(tid, value);
-        }
-    }
-
-    /// A shard-0 lottery — the uniprocessor entry point.
-    fn pick(&mut self, now: SimTime) -> Option<ThreadId> {
-        self.pick_on(0, now)
-    }
-
-    /// A local lottery on the CPU's own shard; steals from the heaviest
-    /// foreign shard when the local queue is empty.
-    fn pick_on(&mut self, cpu: u32, _now: SimTime) -> Option<ThreadId> {
-        let local = cpu % self.shards.len() as u32;
-        self.refresh_shard(local);
-        let (shard, stolen) = if self.shards[local as usize].ready.is_empty() {
-            match self.steal_victim(local) {
-                Some(victim) => (victim, true),
-                None => return None,
-            }
-        } else {
-            (local, false)
-        };
-        let tid = self.draw_from(cpu, shard, stolen);
-        self.picks_since_check += 1;
-        if self.picks_since_check >= self.rebalance_interval && self.shards.len() > 1 {
-            self.picks_since_check = 0;
-            self.maybe_rebalance();
-        }
-        Some(tid)
-    }
-
-    fn charge(&mut self, tid: ThreadId, used: SimDuration, quantum: SimDuration, why: EndReason) {
-        // The shared hook grants a partial-quantum compensation factor and
-        // deactivates a blocked client's tickets so shared-currency values
-        // redistribute (Section 4.4).
-        let client = self.funding_info(tid).client;
-        self.comp
-            .on_charge(&mut self.ledger, &self.bus, tid, client, used, quantum, why);
-    }
-
-    fn quantum(&self) -> SimDuration {
-        self.quantum
-    }
-
-    fn ready_len(&self) -> usize {
-        self.shards.iter().map(|s| s.ready.len()).sum()
-    }
-
-    /// Stores the bus and forwards a clone to the ledger, so draw events
-    /// and cache/mutation events share one pipeline.
-    fn set_probe_bus(&mut self, bus: ProbeBus) {
-        self.ledger.set_probe_bus(bus.clone());
-        self.bus = bus;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::lottery::FundingSpec;
+    use crate::sched::{EndReason, Policy};
+    use crate::time::SimTime;
 
     const T0: ThreadId = ThreadId::from_index(0);
     const T1: ThreadId = ThreadId::from_index(1);

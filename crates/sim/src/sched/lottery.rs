@@ -7,6 +7,22 @@
 //! each thread's value until the winner is found — exactly the prototype's
 //! procedure (Section 4.4).
 //!
+//! There is one implementation, [`Lottery`], over the shard run queue of
+//! [`super::runqueue`]. Section 4.2 presents the partial-sum tree as "the
+//! basis of a distributed lottery scheduler", and the uniprocessor policy
+//! is that scheduler's one-shard case: [`LotteryPolicy`] is
+//! `Lottery<Single>`, and
+//! [`DistributedLottery`](super::distributed::DistributedLottery) is
+//! `Lottery<Sharded>` with one shard per CPU. Every difference between the
+//! two follows from the mode type:
+//!
+//! * draws are tagged `"list"`/`"tree"`/`"alias"` for the single shard and
+//!   `"shard"`/`"shard-alias"` (plus `ShardPick`/`ShardSteal` events) for
+//!   the sharded lottery;
+//! * the sharded lottery has no list walk and treats `List` as `Tree`;
+//! * only the sharded lottery homes a new thread on the least-loaded
+//!   shard at spawn, and settles dirty notifications while idle.
+//!
 //! The policy implements the full mechanism set:
 //!
 //! * **currencies** — spawn threads into any currency of an arbitrary
@@ -16,27 +32,26 @@
 //!   its next dispatch (Section 4.5);
 //! * **ticket transfers** — RPC clients fund the server thread for the
 //!   duration of the call (Section 4.6);
-//! * **dynamic inflation** — [`LotteryPolicy::set_funding`] adjusts a
+//! * **kernel mutexes** — lock handoff by lottery among the waiters, who
+//!   fund the mutex currency while they wait (Section 6.1);
+//! * **dynamic inflation** — [`Lottery::set_funding`] adjusts a
 //!   thread's ticket in place (Section 5.2's Monte-Carlo control).
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::marker::PhantomData;
 
 use lottery_core::client::ClientId;
 use lottery_core::currency::CurrencyId;
 use lottery_core::errors::Result;
 use lottery_core::ledger::Ledger;
-use lottery_core::lottery::alias::AliasLottery;
-use lottery_core::lottery::index::DenseIndex;
-use lottery_core::lottery::tree::TreeLottery;
-use lottery_core::lottery::TicketPool;
 use lottery_core::mutex::{TicketMutex, WaiterFunding};
-use lottery_core::rng::{ParkMiller, SchedRng};
+use lottery_core::rng::ParkMiller;
 use lottery_core::ticket::TicketId;
 use lottery_core::transfer::{lend, Transfer, TransferTarget};
 use lottery_obs::{EventKind, ProbeBus};
 
 use super::comp::CompensationHook;
+use super::runqueue::{DrawSite, RunQueue};
 use super::{EndReason, LockId, Policy};
 use crate::thread::ThreadId;
 use crate::time::{SimDuration, SimTime};
@@ -91,53 +106,85 @@ pub enum SelectStructure {
     Alias,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct ThreadFunding {
-    client: ClientId,
-    ticket: TicketId,
-    currency: CurrencyId,
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Single {}
+    impl Sealed for super::Sharded {}
 }
 
-/// The lottery scheduling policy.
-pub struct LotteryPolicy {
-    ledger: Ledger,
+/// How a [`Lottery`] lays its run queue over CPUs: [`Single`] or
+/// [`Sharded`].
+pub trait ShardMode: sealed::Sealed {
+    /// Whether the lottery keeps one shard per CPU, homes and rebalances
+    /// threads across them, and reports its draws as shard draws.
+    const SHARDED: bool;
+}
+
+/// One shared run queue: the uniprocessor [`LotteryPolicy`].
+#[derive(Debug, Clone, Copy)]
+pub struct Single;
+
+/// One run queue per CPU: the
+/// [`DistributedLottery`](super::distributed::DistributedLottery).
+#[derive(Debug, Clone, Copy)]
+pub struct Sharded;
+
+impl ShardMode for Single {
+    const SHARDED: bool = false;
+}
+
+impl ShardMode for Sharded {
+    const SHARDED: bool = true;
+}
+
+/// The uniprocessor lottery policy: the one-shard [`Lottery`].
+pub type LotteryPolicy = Lottery<Single>;
+
+#[derive(Debug, Clone, Copy)]
+pub(super) struct ThreadFunding {
+    pub(super) client: ClientId,
+    ticket: TicketId,
+}
+
+/// The lottery scheduling policy, over one shard ([`LotteryPolicy`]) or
+/// one per CPU ([`DistributedLottery`](super::distributed::DistributedLottery)).
+pub struct Lottery<M: ShardMode> {
+    pub(super) ledger: Ledger,
     rng: ParkMiller,
     quantum: SimDuration,
     /// Per-thread funding, indexed by thread id.
-    threads: Vec<Option<ThreadFunding>>,
-    /// The ready queue, in scan order. Removal swap-removes so the order
-    /// always mirrors the tree lottery's leaf-slot order.
-    ready: Vec<ThreadId>,
-    /// Membership index: thread id -> position in `ready`, `None` when not
-    /// queued. Replaces `O(n)` ready-queue scans.
-    ready_pos: Vec<Option<u32>>,
-    /// Reverse map from ledger clients to threads (flat, indexed by the
-    /// client's arena slot), for routing the ledger's dirty-client
-    /// notifications back to structure slots without hashing.
-    client_threads: Vec<Option<ThreadId>>,
-    /// Reusable drain buffer: no allocation per pick.
-    dirty_buf: Vec<ClientId>,
-    /// Reusable list-walk valuation buffer: no allocation per pick.
-    list_values: Vec<f64>,
+    pub(super) threads: Vec<Option<ThreadFunding>>,
+    /// The ready set: ready order, membership, and winner structures.
+    pub(super) queue: RunQueue,
     /// Outstanding RPC transfers, keyed by (client, server).
     transfers: HashMap<(ThreadId, ThreadId), Transfer>,
+    /// Kernel mutexes (Section 6.1), scheduled by handoff lotteries.
+    locks: Vec<TicketMutex>,
     /// Shared compensation grant/revoke policy (Section 4.5).
     comp: CompensationHook,
     /// Lotteries held (for overhead accounting).
     lotteries: u64,
-    structure: SelectStructure,
-    /// Cached-weight mirror of the ready queue, used in tree mode. Thread
-    /// ids are dense, so the slot index is a flat table, not a hash map.
-    tree: TreeLottery<ThreadId, f64, DenseIndex>,
-    /// Cached-weight mirror of the ready queue, used in alias mode.
-    alias: AliasLottery<ThreadId, DenseIndex>,
-    /// Kernel mutexes (Section 6.1), scheduled by handoff lotteries.
-    locks: Vec<TicketMutex>,
+    /// Whether homing, stealing, and rebalancing compare *effective*
+    /// (compensated) shard totals; `false` is the raw-weight ablation.
+    pub(super) comp_aware: bool,
+    /// Picks since the last rebalance check.
+    picks_since_check: u32,
+    /// How many picks between rebalance checks.
+    pub(super) rebalance_interval: u32,
+    /// A shard is "heavy" when its total exceeds `bound × mean`.
+    pub(super) imbalance_bound: f64,
+    /// Work-stealing picks (the local shard was empty).
+    pub(super) steals: u64,
+    /// Threads re-homed by rebalancing or explicit migration.
+    pub(super) migrations: u64,
+    /// Rebalance rounds that found the bound violated.
+    pub(super) rebalances: u64,
     /// Probe bus for per-draw observability (disabled by default).
-    bus: ProbeBus,
+    pub(super) bus: ProbeBus,
+    mode: PhantomData<M>,
 }
 
-impl LotteryPolicy {
+impl Lottery<Single> {
     /// Creates a lottery policy with the paper's 100 ms Mach quantum.
     pub fn new(seed: u32) -> Self {
         Self::with_quantum(seed, SimDuration::from_ms(100))
@@ -149,182 +196,66 @@ impl LotteryPolicy {
     ///
     /// Panics on a zero quantum.
     pub fn with_quantum(seed: u32, quantum: SimDuration) -> Self {
+        Self::build(seed, quantum, Ledger::new(), 1, SelectStructure::List)
+    }
+}
+
+impl<M: ShardMode> Lottery<M> {
+    /// The state shared by both modes' constructors.
+    pub(super) fn build(
+        seed: u32,
+        quantum: SimDuration,
+        ledger: Ledger,
+        shards: u32,
+        structure: SelectStructure,
+    ) -> Self {
         assert!(!quantum.is_zero(), "quantum must be positive");
         Self {
-            ledger: Ledger::new(),
+            ledger,
             rng: ParkMiller::new(seed),
             quantum,
             threads: Vec::new(),
-            ready: Vec::new(),
-            ready_pos: Vec::new(),
-            client_threads: Vec::new(),
-            dirty_buf: Vec::new(),
-            list_values: Vec::new(),
+            queue: RunQueue::new(0..shards, structure),
             transfers: HashMap::new(),
+            locks: Vec::new(),
             comp: CompensationHook::new(),
             lotteries: 0,
-            structure: SelectStructure::List,
-            tree: TreeLottery::with_index(1),
-            alias: AliasLottery::with_index(0),
-            locks: Vec::new(),
+            comp_aware: true,
+            picks_since_check: 0,
+            rebalance_interval: 32,
+            imbalance_bound: 1.5,
+            steals: 0,
+            migrations: 0,
+            rebalances: 0,
             bus: ProbeBus::disabled(),
+            mode: PhantomData,
         }
     }
 
     /// Selects the winner-search structure (Section 4.2).
     ///
-    /// May be called at any point, even mid-run with threads queued: the
-    /// mirror structure (partial-sum tree or alias table) is rebuilt from
-    /// the ready queue (in queue order, so slot order and scan order stay
+    /// May be called at any point, even mid-run with threads queued: each
+    /// shard's mirror (partial-sum tree or alias table) is rebuilt from
+    /// its ready queue (in queue order, so slot order and scan order stay
     /// mirrored) with exact values from the ledger's valuation cache.
-    /// Emits a [`EventKind::StructureRebuild`] describing the rebuild.
+    /// Emits one [`EventKind::StructureRebuild`] per shard. The sharded
+    /// lottery has no list walk: it treats [`SelectStructure::List`] as
+    /// `Tree`.
     pub fn set_structure(&mut self, structure: SelectStructure) {
-        let start = Instant::now();
-        self.structure = structure;
-        self.tree = TreeLottery::with_index(self.ready.len());
-        self.alias = AliasLottery::with_index(self.ready.len());
-        if structure != SelectStructure::List {
-            // Every ready weight is computed fresh below; notifications
-            // accumulated while the mirror was dormant are obsolete.
-            let mut dirty = std::mem::take(&mut self.dirty_buf);
-            self.ledger.drain_dirty_clients_into(&mut dirty);
-            self.dirty_buf = dirty;
-            for i in 0..self.ready.len() {
-                let tid = self.ready[i];
-                let client = self.funding_info(tid).client;
-                let value = self.ledger.cached_client_value(client).unwrap_or(0.0);
-                match structure {
-                    SelectStructure::Tree => self.tree.insert(tid, value),
-                    SelectStructure::Alias => self.alias.insert(tid, value),
-                    SelectStructure::List => unreachable!(),
-                }
-            }
-        }
-        if structure == SelectStructure::Alias {
-            // Snapshot once at the end: bulk-load rebuild churn collapses
-            // into one definitive table over the final ready order.
-            self.alias.rebuild();
-            self.alias.take_rebuild_events();
-        }
-        let clients = self.ready.len() as u32;
-        let rebuild_ns = start.elapsed().as_nanos() as u64;
-        self.bus.emit(|| EventKind::StructureRebuild {
-            structure: Self::structure_tag(structure),
-            clients,
-            stale: 0,
-            rebuild_ns,
-        });
-    }
-
-    fn structure_tag(structure: SelectStructure) -> &'static str {
-        match structure {
-            SelectStructure::List => "list",
-            SelectStructure::Tree => "tree",
-            SelectStructure::Alias => "alias",
-        }
-    }
-
-    /// Forwards the alias table's accumulated rebuild reports to the
-    /// probe bus (no-ops — and never allocates — when none are pending).
-    fn emit_alias_rebuilds(&mut self) {
-        for ev in self.alias.take_rebuild_events() {
-            self.bus.emit(|| EventKind::StructureRebuild {
-                structure: "alias",
-                clients: ev.clients,
-                stale: ev.stale,
-                rebuild_ns: ev.rebuild_ns,
+        let structure = match structure {
+            SelectStructure::List if M::SHARDED => SelectStructure::Tree,
+            s => s,
+        };
+        let threads = &self.threads;
+        self.queue
+            .set_structure(structure, &mut self.ledger, &self.bus, |t| {
+                funding_of(threads, t).client
             });
-        }
     }
 
     /// The active winner-search structure.
     pub fn structure(&self) -> SelectStructure {
-        self.structure
-    }
-
-    /// Whether a thread is on the ready queue (`O(1)`).
-    fn is_ready(&self, tid: ThreadId) -> bool {
-        self.ready_pos
-            .get(tid.index() as usize)
-            .copied()
-            .flatten()
-            .is_some()
-    }
-
-    /// Appends a thread to the ready queue, indexing its position.
-    fn push_ready(&mut self, tid: ThreadId) {
-        let idx = tid.index() as usize;
-        if self.ready_pos.len() <= idx {
-            self.ready_pos.resize(idx + 1, None);
-        }
-        debug_assert!(self.ready_pos[idx].is_none(), "double enqueue of {tid}");
-        self.ready_pos[idx] = Some(self.ready.len() as u32);
-        self.ready.push(tid);
-    }
-
-    /// Removes a thread from the ready queue in `O(1)`.
-    ///
-    /// Swap-removes — the same motion [`TreeLottery`]'s removal applies to
-    /// its leaf slots — so ready order and tree slot order stay identical
-    /// and list/tree lotteries walk clients in the same order.
-    fn remove_ready(&mut self, tid: ThreadId) -> bool {
-        let idx = tid.index() as usize;
-        let Some(pos) = self.ready_pos.get(idx).copied().flatten() else {
-            return false;
-        };
-        let pos = pos as usize;
-        self.ready.swap_remove(pos);
-        self.ready_pos[idx] = None;
-        if pos < self.ready.len() {
-            let moved = self.ready[pos];
-            self.ready_pos[moved.index() as usize] = Some(pos as u32);
-        }
-        true
-    }
-
-    /// Refreshes mirror-structure weights (tree leaves or alias slots)
-    /// for every client the ledger reports as invalidated since the last
-    /// draw.
-    ///
-    /// This is what makes tree and alias modes *exact*: any mutation
-    /// anywhere in the currency graph — a sibling blocking, a
-    /// compensation grant, an RPC transfer — queues precisely the
-    /// affected clients, and their slots are revalued (incrementally,
-    /// through the cache) before the draw.
-    fn refresh_dirty_weights(&mut self) {
-        let mut dirty = std::mem::take(&mut self.dirty_buf);
-        self.ledger.drain_dirty_clients_into(&mut dirty);
-        if !dirty.is_empty() {
-            // One batch per dispatch decision: the whole queue is drained
-            // into the reusable scratch buffer above (ascending client-id
-            // order) and revalued in a single pass.
-            let depth = dirty.len() as u32;
-            self.bus.emit(|| EventKind::DirtyBatch { shard: 0, depth });
-        }
-        for &client in &dirty {
-            let Some(tid) = self
-                .client_threads
-                .get(client.index() as usize)
-                .copied()
-                .flatten()
-            else {
-                continue;
-            };
-            if !self.is_ready(tid) {
-                continue;
-            }
-            let value = self.ledger.cached_client_value(client).unwrap_or(0.0);
-            match self.structure {
-                SelectStructure::Tree => {
-                    self.tree.set_weight(&tid, value);
-                }
-                SelectStructure::Alias => {
-                    self.alias.set_weight(&tid, value);
-                }
-                SelectStructure::List => {}
-            }
-        }
-        self.dirty_buf = dirty;
+        self.queue.structure()
     }
 
     /// Disables compensation tickets — the Section 4.5 ablation, which
@@ -334,6 +265,12 @@ impl LotteryPolicy {
         self.comp.set_enabled(enabled);
     }
 
+    /// Whether compensation tickets are enabled (replay stamps capture
+    /// this switch).
+    pub fn compensation_enabled(&self) -> bool {
+        self.comp.enabled()
+    }
+
     /// The base currency of this policy's ledger.
     pub fn base_currency(&self) -> CurrencyId {
         self.ledger.base()
@@ -341,10 +278,7 @@ impl LotteryPolicy {
 
     /// Creates a currency backed by `amount` base-currency tickets.
     pub fn create_currency(&mut self, name: &str, amount: u64) -> Result<CurrencyId> {
-        let cur = self.ledger.create_currency(name)?;
-        let backing = self.ledger.issue_root(self.ledger.base(), amount)?;
-        self.ledger.fund_currency(backing, cur)?;
-        Ok(cur)
+        self.create_subcurrency(name, self.ledger.base(), amount)
     }
 
     /// Creates a currency backed by `amount` tickets of `parent` —
@@ -364,11 +298,11 @@ impl LotteryPolicy {
     /// Changes the face amount of a thread's funding ticket — dynamic
     /// ticket inflation/deflation (Section 3.2).
     ///
-    /// Takes effect at the very next lottery.
+    /// Takes effect at the very next lottery: affected mirror weights
+    /// are refreshed from the ledger's dirty-client queue at the next
+    /// pick.
     pub fn set_funding(&mut self, tid: ThreadId, amount: u64) -> Result<()> {
         let funding = self.funding_info(tid);
-        // Affected tree weights are refreshed lazily, from the ledger's
-        // dirty-client queue, at the next pick.
         self.ledger.set_amount(funding.ticket, amount)?;
         self.bus.emit(|| EventKind::WeightChange {
             client: funding.client.index(),
@@ -422,25 +356,33 @@ impl LotteryPolicy {
         self.rng.state()
     }
 
-    /// Whether compensation tickets are enabled (replay stamps capture
-    /// this switch).
-    pub fn compensation_enabled(&self) -> bool {
-        self.comp.enabled()
+    pub(super) fn funding_info(&self, tid: ThreadId) -> ThreadFunding {
+        funding_of(&self.threads, tid)
     }
 
-    fn funding_info(&self, tid: ThreadId) -> ThreadFunding {
-        self.threads
-            .get(tid.index() as usize)
-            .copied()
-            .flatten()
-            .expect("thread not registered with the lottery policy")
+    /// A thread's funding ticket: its currency and face amount.
+    fn funding_ticket(&self, tid: ThreadId) -> (CurrencyId, u64) {
+        let ticket = self
+            .ledger
+            .ticket(self.funding_info(tid).ticket)
+            .expect("funding ticket is live");
+        (ticket.currency(), ticket.amount())
     }
 }
 
-impl Policy for LotteryPolicy {
+fn funding_of(threads: &[Option<ThreadFunding>], tid: ThreadId) -> ThreadFunding {
+    threads
+        .get(tid.index() as usize)
+        .copied()
+        .flatten()
+        .expect("thread not registered with the lottery")
+}
+
+impl<M: ShardMode> Policy for Lottery<M> {
     type Spec = FundingSpec;
 
-    /// Registers a thread.
+    /// Registers a thread; the sharded lottery homes it on the
+    /// least-loaded shard.
     ///
     /// # Panics
     ///
@@ -459,16 +401,13 @@ impl Policy for LotteryPolicy {
         if self.threads.len() <= idx {
             self.threads.resize(idx + 1, None);
         }
-        self.threads[idx] = Some(ThreadFunding {
-            client,
-            ticket,
-            currency: spec.currency,
-        });
-        let slot = client.index() as usize;
-        if self.client_threads.len() <= slot {
-            self.client_threads.resize(slot + 1, None);
+        self.threads[idx] = Some(ThreadFunding { client, ticket });
+        if M::SHARDED {
+            let home = self.least_loaded_shard();
+            self.queue.set_home(tid, home as usize);
+            self.ledger.assign_dirty_shard(client, home);
         }
-        self.client_threads[slot] = Some(tid);
+        self.queue.map_client(client, tid);
         self.bus.emit(|| EventKind::WeightChange {
             client: client.index(),
             tickets: spec.amount,
@@ -478,10 +417,8 @@ impl Policy for LotteryPolicy {
 
     fn on_exit(&mut self, tid: ThreadId) {
         let funding = self.funding_info(tid);
-        self.remove_ready(tid);
-        self.tree.remove(&tid);
-        self.alias.remove(&tid);
-        self.client_threads[funding.client.index() as usize] = None;
+        self.queue.remove_ready(tid);
+        self.queue.unmap_client(funding.client);
         self.ledger
             .deactivate_client(funding.client)
             .expect("client liveness");
@@ -492,159 +429,61 @@ impl Policy for LotteryPolicy {
     }
 
     fn enqueue(&mut self, tid: ThreadId, _now: SimTime) {
-        let funding = self.funding_info(tid);
+        let client = self.funding_info(tid).client;
         self.ledger
-            .activate_client(funding.client)
+            .activate_client(client)
             .expect("client liveness");
-        self.push_ready(tid);
-        if self.structure != SelectStructure::List {
-            // Exact: activation just invalidated the client (and any
-            // shared-currency siblings, refreshed at the next pick), so
-            // this read revalues precisely the changed subgraph.
-            let value = self
-                .ledger
-                .cached_client_value(funding.client)
-                .unwrap_or(0.0);
-            match self.structure {
-                SelectStructure::Tree => self.tree.insert(tid, value),
-                SelectStructure::Alias => self.alias.insert(tid, value),
-                SelectStructure::List => unreachable!(),
-            }
-        }
+        // Activation just invalidated the client (and any shared-currency
+        // siblings, refreshed at their shard's next pick), so this read
+        // revalues precisely the changed subgraph.
+        let ledger = &self.ledger;
+        self.queue
+            .push_ready(tid, || ledger.cached_client_value(client).unwrap_or(0.0));
     }
 
-    fn pick(&mut self, _now: SimTime) -> Option<ThreadId> {
-        if self.ready.is_empty() {
+    /// A lottery on CPU 0's shard — the uniprocessor entry point.
+    fn pick(&mut self, now: SimTime) -> Option<ThreadId> {
+        self.pick_on(0, now)
+    }
+
+    /// A local lottery on the CPU's own shard; steals from the heaviest
+    /// foreign shard when the local queue is empty.
+    fn pick_on(&mut self, cpu: u32, _now: SimTime) -> Option<ThreadId> {
+        // The uniprocessor policy leaves dirty notifications pending
+        // while idle; they settle in one batch at its next lottery.
+        if !M::SHARDED && self.queue.is_empty() {
             return None;
         }
-        self.lotteries += 1;
-        let entries = self.ready.len() as u32;
-        let tid = match self.structure {
-            SelectStructure::Tree => {
-                // Settle pending invalidations, then an O(log n) descent
-                // over the partial-sum tree; degenerate to FIFO when every
-                // weight is zero. Spelled out (rather than `tree.draw`) so
-                // the draw can be observed; the RNG stream is
-                // bit-identical — a winning value is consumed exactly when
-                // `draw` would consume one.
-                self.refresh_dirty_weights();
-                let total = self.tree.total();
-                let (tid, winning) = if self.tree.is_empty() || total <= 0.0 {
-                    (self.ready[0], -1.0)
-                } else {
-                    let winning = self.rng.next_f64() * total;
-                    let tid = match self.tree.select(winning) {
-                        Some(&tid) => tid,
-                        None => self.ready[0],
-                    };
-                    (tid, winning)
-                };
-                let levels = self.tree.depth();
-                let winner = tid.index();
-                self.bus.emit(|| EventKind::LotteryDraw {
-                    structure: "tree",
-                    entries,
-                    levels,
-                    total,
-                    winning,
-                    winner,
-                });
-                self.tree.remove(&tid);
-                self.remove_ready(tid);
-                tid
-            }
-            SelectStructure::Alias => {
-                // Same RNG discipline as the tree branch, with an O(1)
-                // expected cell lookup in place of the log-depth descent.
-                self.refresh_dirty_weights();
-                let total = self.alias.total();
-                let (tid, winning) = if self.alias.is_empty() || total <= 0.0 {
-                    (self.ready[0], -1.0)
-                } else {
-                    let winning = self.rng.next_f64() * total;
-                    let tid = match self.alias.select(winning) {
-                        Some(&tid) => tid,
-                        None => self.ready[0],
-                    };
-                    (tid, winning)
-                };
-                // For the alias table, "levels" is the search effort of
-                // this draw: overlay probes plus guide-cell scan steps.
-                let levels = self.alias.last_probes();
-                let winner = tid.index();
-                self.bus.emit(|| EventKind::LotteryDraw {
-                    structure: "alias",
-                    entries,
-                    levels,
-                    total,
-                    winning,
-                    winner,
-                });
-                self.alias.remove(&tid);
-                self.remove_ready(tid);
-                self.emit_alias_rebuilds();
-                tid
-            }
-            SelectStructure::List => {
-                // Value every ready client via the incremental cache: a
-                // warm read per client, plus revalidation of whatever the
-                // ledger invalidated since the last pick. The valuation
-                // buffer is policy-owned scratch — no per-pick allocation.
-                let mut values = std::mem::take(&mut self.list_values);
-                values.clear();
-                values.extend(self.ready.iter().map(|&t| {
-                    let client = self.threads[t.index() as usize]
-                        .expect("ready thread is registered")
-                        .client;
-                    self.ledger.cached_client_value(client).unwrap_or(0.0)
-                }));
-                let total: f64 = values.iter().sum();
-
-                let (index, winning) = if total <= 0.0 {
-                    // Every ready client is worthless (e.g. an unfunded
-                    // currency). Degenerate to FIFO so the machine still
-                    // makes progress.
-                    (0, -1.0)
-                } else {
-                    // Figure 1: draw a winning value, walk the run queue
-                    // summing client values in base units until the sum
-                    // exceeds it.
-                    let winning = self.rng.next_f64() * total;
-                    let mut sum = 0.0;
-                    let mut chosen = self.ready.len() - 1;
-                    for (i, &v) in values.iter().enumerate() {
-                        sum += v;
-                        if winning < sum {
-                            chosen = i;
-                            break;
-                        }
-                    }
-                    (chosen, winning)
-                };
-                self.list_values = values;
-
-                let tid = self.ready[index];
-                let winner = tid.index();
-                // For the list walk, "levels" is the entries scanned
-                // before the winner was found.
-                let levels = index as u32 + 1;
-                self.bus.emit(|| EventKind::LotteryDraw {
-                    structure: "list",
-                    entries,
-                    levels,
-                    total,
-                    winning,
-                    winner,
-                });
-                self.remove_ready(tid);
-                tid
-            }
+        let local = cpu as usize % self.queue.shards();
+        if self.queue.structure() != SelectStructure::List {
+            self.queue.refresh(local, &mut self.ledger, &self.bus);
+        }
+        let (shard, stolen) = if self.queue.ready(local).is_empty() {
+            (self.steal_victim(local)?, true)
+        } else {
+            (local, false)
         };
-        let funding = self.funding_info(tid);
+        self.lotteries += 1;
+        if stolen {
+            self.steals += 1;
+        }
+        let site = M::SHARDED.then_some(DrawSite { cpu, stolen });
+        let threads = &self.threads;
+        let tid = self
+            .queue
+            .draw(shard, site, &self.ledger, &mut self.rng, &self.bus, |t| {
+                funding_of(threads, t).client
+            });
         // The winner starts its quantum: revoke any compensation ticket
         // through the shared hook (which emits the revocation event).
+        let client = self.funding_info(tid).client;
         self.comp
-            .on_dispatch(&mut self.ledger, &self.bus, tid, funding.client);
+            .on_dispatch(&mut self.ledger, &self.bus, tid, client);
+        self.picks_since_check += 1;
+        if self.picks_since_check >= self.rebalance_interval && self.queue.shards() > 1 {
+            self.picks_since_check = 0;
+            self.maybe_rebalance();
+        }
         Some(tid)
     }
 
@@ -665,21 +504,16 @@ impl Policy for LotteryPolicy {
     /// (Section 4.6: "creating a new ticket denominated in the client's
     /// currency" to fund the server).
     fn transfer(&mut self, from: ThreadId, to: ThreadId) {
-        let from_funding = self.funding_info(from);
-        let to_funding = self.funding_info(to);
-        let amount = self
-            .ledger
-            .ticket(from_funding.ticket)
-            .map(|t| t.amount())
-            .unwrap_or(0);
+        let (currency, amount) = self.funding_ticket(from);
         if amount == 0 {
             return;
         }
+        let server = self.funding_info(to).client;
         let transfer = lend(
             &mut self.ledger,
-            from_funding.currency,
+            currency,
             amount,
-            TransferTarget::Client(to_funding.client),
+            TransferTarget::Client(server),
         )
         .expect("transfer endpoints are live");
         if let Some(stale) = self.transfers.insert((from, to), transfer) {
@@ -687,8 +521,8 @@ impl Policy for LotteryPolicy {
             // but unwind defensively rather than leak funding.
             let _ = stale.repay(&mut self.ledger);
         }
-        // The server's gained funding reaches its tree leaf through the
-        // ledger's dirty-client queue at the next pick.
+        // The server's gained funding reaches its mirror slot through the
+        // ledger's dirty-client queue at its shard's next pick.
     }
 
     /// Destroys the transfer ticket on reply.
@@ -701,7 +535,7 @@ impl Policy for LotteryPolicy {
     }
 
     fn ready_len(&self) -> usize {
-        self.ready.len()
+        self.queue.len()
     }
 
     /// Stores the bus and forwards a clone to the ledger, so draw events
@@ -724,19 +558,14 @@ impl Policy for LotteryPolicy {
     /// Acquires, or parks the thread as a waiter funding the mutex
     /// currency with a transfer denominated in its own funding currency.
     fn lock(&mut self, tid: ThreadId, lock: LockId) -> bool {
-        let funding = self.funding_info(tid);
-        let amount = self
-            .ledger
-            .ticket(funding.ticket)
-            .map(|t| t.amount())
-            .unwrap_or(1)
-            .max(1);
+        let (currency, amount) = self.funding_ticket(tid);
         let waiter = WaiterFunding {
-            currency: funding.currency,
-            amount,
+            currency,
+            amount: amount.max(1),
         };
+        let client = self.funding_info(tid).client;
         self.locks[lock.index() as usize]
-            .acquire(&mut self.ledger, funding.client, waiter)
+            .acquire(&mut self.ledger, client, waiter)
             .expect("lock endpoints are live")
     }
 
@@ -757,11 +586,8 @@ impl Policy for LotteryPolicy {
             .release(&mut self.ledger, client, &mut self.rng)
             .expect("release by the holder");
         winner.map(|w| {
-            // Map the winning client back to its thread id.
-            self.threads
-                .iter()
-                .position(|f| f.map(|f| f.client) == Some(w))
-                .map(|i| ThreadId::from_index(i as u32))
+            self.queue
+                .thread_of(w)
                 .expect("winner is a registered thread")
         })
     }

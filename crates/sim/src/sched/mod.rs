@@ -4,8 +4,11 @@
 //! a [`Policy`] which ready thread to dispatch next. The lottery scheduler
 //! and every baseline the paper compares against implement this trait:
 //!
-//! * [`lottery::LotteryPolicy`] — the paper's mechanism, with currencies,
-//!   compensation tickets, and RPC ticket transfers.
+//! * [`lottery::Lottery`] — the paper's mechanism, with currencies,
+//!   compensation tickets, RPC ticket transfers, and kernel mutexes. One
+//!   implementation in two modes: [`lottery::LotteryPolicy`] (one shard)
+//!   and [`distributed::DistributedLottery`] (one shard per CPU), both
+//!   over the shard run queue of [`runqueue`].
 //! * [`timeshare::TimesharePolicy`] — a decay-usage timesharing scheduler
 //!   standing in for the stock Mach policy.
 //! * [`fairshare::FairSharePolicy`] — a classical two-level fair-share
@@ -21,6 +24,7 @@ pub mod fairshare;
 pub mod fixed;
 pub mod lottery;
 pub mod rr;
+pub mod runqueue;
 pub mod stride;
 pub mod timeshare;
 

@@ -45,11 +45,13 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 fn run_distributed(
     seed: u32,
     shards: usize,
+    structure: SelectStructure,
     threads: usize,
     script: &[Step],
     check_conservation: bool,
 ) -> Vec<ThreadId> {
     let mut p = DistributedLottery::new(seed, shards);
+    p.set_structure(structure);
     let base = p.base_currency();
     for i in 0..threads {
         let tid = ThreadId::from_index(i as u32);
@@ -125,9 +127,14 @@ fn run_distributed(
 
 /// Mirrors `run_distributed` on the shared-tree `LotteryPolicy`,
 /// ignoring `Migrate` targets (a 1-shard migration is a no-op).
-fn run_shared_tree(seed: u32, threads: usize, script: &[Step]) -> Vec<ThreadId> {
+fn run_shared_tree(
+    seed: u32,
+    structure: SelectStructure,
+    threads: usize,
+    script: &[Step],
+) -> Vec<ThreadId> {
     let mut p = LotteryPolicy::new(seed);
-    p.set_structure(SelectStructure::Tree);
+    p.set_structure(structure);
     let base = p.base_currency();
     for i in 0..threads {
         let tid = ThreadId::from_index(i as u32);
@@ -179,7 +186,7 @@ proptest! {
         threads in 2..8usize,
         script in proptest::collection::vec(step_strategy(), 1..80),
     ) {
-        run_distributed(seed, shards, threads, &script, true);
+        run_distributed(seed, shards, SelectStructure::Tree, threads, &script, true);
     }
 
     /// On one shard the distributed lottery IS the shared partial-sum
@@ -191,9 +198,11 @@ proptest! {
         threads in 2..8usize,
         script in proptest::collection::vec(step_strategy(), 1..120),
     ) {
-        let distributed = run_distributed(seed, 1, threads, &script, false);
-        let shared = run_shared_tree(seed, threads, &script);
-        prop_assert_eq!(distributed, shared);
+        for structure in [SelectStructure::Tree, SelectStructure::Alias] {
+            let distributed = run_distributed(seed, 1, structure, threads, &script, false);
+            let shared = run_shared_tree(seed, structure, threads, &script);
+            prop_assert_eq!(distributed, shared);
+        }
     }
 }
 

@@ -2,6 +2,7 @@
 //! interacting, as in the paper's CThreads prototype (Section 6.1).
 
 use lottery_sim::prelude::*;
+use lottery_sim::sched::lottery::{Lottery, ShardMode};
 use lottery_sim::sched::LockId;
 
 /// Builds the paper's Figure 11 workload on the real kernel: two groups
@@ -102,7 +103,11 @@ fn mutex_holder_inherits_waiter_funding() {
     // win and its remaining 9.9 s of hold time would take hours; with the
     // waiter's transfer funding the inheritance ticket, the holder runs
     // at near parity with the hog and the rich waiter acquires soon.
-    let mut policy = LotteryPolicy::new(5);
+    holder_inherits_waiter_funding(LotteryPolicy::new(5));
+    holder_inherits_waiter_funding(DistributedLottery::new(5, 1));
+}
+
+fn holder_inherits_waiter_funding<M: ShardMode>(mut policy: Lottery<M>) {
     let base = policy.base_currency();
     let lock = policy.create_lock();
     let mut kernel = Kernel::new(policy);

@@ -25,11 +25,13 @@ struct Waiter {
 }
 
 struct State {
-    /// Whether the lock is currently owned.
+    /// Whether the lock is currently owned. A handoff keeps it set: the
+    /// chosen waiter owns the lock from the moment `unlock` picks it.
     held: bool,
     /// Blocked waiters, in arrival order.
     waiters: Vec<Waiter>,
-    /// The waiter chosen by the last handoff lottery.
+    /// The waiter chosen by the last handoff lottery, which owns the lock
+    /// but has not yet woken to claim its guard.
     chosen: Option<u64>,
     /// Ticket-draw source for handoff lotteries.
     rng: ParkMiller,
@@ -105,8 +107,9 @@ impl<T> LotteryMutex<T> {
         loop {
             self.handoff.wait(&mut state);
             if state.chosen == Some(id) {
+                // Direct handoff: `held` never dropped, so nobody barged
+                // in between the lottery and this wakeup.
                 state.chosen = None;
-                state.held = true;
                 state.acquisitions += 1;
                 drop(state);
                 return LotteryMutexGuard { mutex: self };
@@ -139,8 +142,8 @@ impl<T> LotteryMutex<T> {
     fn unlock(&self) {
         let mut state = self.state.lock();
         debug_assert!(state.held, "unlock of an unheld LotteryMutex");
-        state.held = false;
         if state.waiters.is_empty() {
+            state.held = false;
             return;
         }
         // Hold the handoff lottery: draw a winning value below the total
@@ -156,6 +159,10 @@ impl<T> LotteryMutex<T> {
                 break;
             }
         }
+        // Direct handoff: ownership passes to the winner while `held`
+        // stays set, so neither the `lock` fast path nor `try_lock` can
+        // take the lock before the winner wakes. The winner is the next
+        // unlocker, so `chosen` is always consumed before it is reused.
         let winner = state.waiters.remove(index);
         state.chosen = Some(winner.id);
         // Wake everyone; only the chosen waiter proceeds. This is the
@@ -254,6 +261,25 @@ mod tests {
         waiter.join().unwrap();
         // After handoff completes the lock is free again.
         assert!(m.try_lock().is_some());
+    }
+
+    #[test]
+    fn handoff_keeps_the_lock_held_for_the_chosen_waiter() {
+        // A waiter is parked (faked, so no thread timing is involved) and
+        // the holder unlocks: the lottery hands the lock to that waiter,
+        // so nobody else may take it before the waiter wakes.
+        let m = LotteryMutex::new((), 3);
+        {
+            let mut state = m.state.lock();
+            state.held = true;
+            state.waiters.push(Waiter { id: 0, tickets: 1 });
+            state.next_id = 1;
+        }
+        m.unlock();
+        assert!(m.try_lock().is_none(), "barged past the chosen waiter");
+        let state = m.state.lock();
+        assert!(state.held);
+        assert_eq!(state.chosen, Some(0));
     }
 
     #[test]

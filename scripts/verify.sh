@@ -5,7 +5,26 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q --workspace
+
+# A deadlock must fail the gate, not hang it: the whole suite runs under
+# a timeout, and the real-thread lottery mutex tests (whose failure mode
+# is a lost handoff) repeat twenty times, each under its own timeout.
+run_bounded() {
+  local limit=$1 what=$2
+  shift 2
+  local status=0
+  timeout "$limit" "$@" || status=$?
+  if [ "$status" -eq 124 ]; then
+    echo "verify: $what did not finish within ${limit}s (deadlock?)" >&2
+    exit 1
+  fi
+  return "$status"
+}
+run_bounded 1800 "cargo test --workspace" cargo test -q --workspace
+for i in $(seq 1 20); do
+  run_bounded 60 "os_mutex test run $i of 20" \
+    cargo test -q -p lottery-sync --lib os_mutex > /dev/null
+done
 cargo bench --no-run --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check

@@ -1,6 +1,7 @@
 //! End-to-end ticket-transfer behaviour through the kernel's RPC path.
 
 use lottery_sim::prelude::*;
+use lottery_sim::sched::lottery::{Lottery, ShardMode};
 
 /// A server thread with negligible funding of its own serves one client
 /// while a compute-bound hog competes. With ticket transfers the client's
@@ -8,7 +9,11 @@ use lottery_sim::prelude::*;
 /// *client's* tickets — the priority-inversion cure of Section 4.6.
 #[test]
 fn transfers_cure_priority_inversion() {
-    let policy = LotteryPolicy::new(9);
+    cure_priority_inversion(LotteryPolicy::new(9));
+    cure_priority_inversion(DistributedLottery::new(9, 1));
+}
+
+fn cure_priority_inversion<M: ShardMode>(policy: Lottery<M>) {
     let base = policy.base_currency();
     let mut kernel = Kernel::new(policy);
     let port = kernel.create_port("svc");
