@@ -13,7 +13,12 @@
 //!    refreshed *only* for clients surfaced by
 //!    [`Ledger::drain_dirty_clients`] (re-warming each refreshed entry,
 //!    exactly as the tree scheduler does) never goes stale. Every value
-//!    change of a warm client must be signalled.
+//!    change of a warm client must be signalled, and no drain returns a
+//!    destroyed client's handle.
+//!
+//! The sequences recycle arena slots (destroying a client or currency and
+//! creating its replacement at once), so cached entries and queued
+//! notifications of dead handles meet live handles in the same slot.
 
 use lottery_core::prelude::*;
 use proptest::prelude::*;
@@ -74,6 +79,16 @@ enum Op {
     DestroyClient {
         cl: usize,
     },
+    /// Destroy client `cl` and its funding, then create a replacement,
+    /// which takes over the freed arena slot.
+    RecycleClient {
+        cl: usize,
+    },
+    /// Destroy currency `c` (never base) with every ticket issued in or
+    /// backing it, then create a replacement in the freed slot.
+    RecycleCurrency {
+        c: usize,
+    },
     /// Warm a random client's cache entry mid-sequence.
     ReadClient {
         cl: usize,
@@ -107,6 +122,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..32usize, 0..32usize).prop_map(|(a, b)| Op::Merge { a, b }),
         (0..8usize, 0..4u64).prop_map(|(cl, k)| Op::SetCompensation { cl, k }),
         (0..8usize).prop_map(|cl| Op::DestroyClient { cl }),
+        (0..8usize).prop_map(|cl| Op::RecycleClient { cl }),
+        (0..8usize).prop_map(|c| Op::RecycleCurrency { c }),
         (0..8usize).prop_map(|cl| Op::ReadClient { cl }),
         (0..8usize).prop_map(|c| Op::ReadCurrency { c }),
     ]
@@ -144,14 +161,8 @@ impl World {
                 self.currencies.push(id);
             }
             Op::CreateClient => {
-                let id = self
-                    .ledger
-                    .create_client(format!("cl{}", self.clients.len()));
+                let id = self.create_client();
                 self.clients.push(id);
-                // Mirror protocol: warm the entry at creation, like the
-                // scheduler does when it first enqueues a thread.
-                let v = self.ledger.cached_client_value(id).unwrap();
-                self.mirror.insert(id, v);
             }
             Op::FundClient { c, amount, cl } => {
                 if self.clients.is_empty() {
@@ -245,10 +256,38 @@ impl World {
                     return;
                 }
                 let cl = self.clients.swap_remove(cl % self.clients.len());
-                self.ledger.destroy_client_and_funding(cl).unwrap();
-                self.mirror.remove(&cl);
-                // Its funding tickets are gone too.
+                self.destroy_client(cl);
+            }
+            Op::RecycleClient { cl } => {
+                if self.clients.is_empty() {
+                    return;
+                }
+                let i = cl % self.clients.len();
+                let old = self.clients[i];
+                self.destroy_client(old);
+                let new = self.create_client();
+                assert_eq!(new.index(), old.index(), "client slot not recycled");
+                self.clients[i] = new;
+            }
+            Op::RecycleCurrency { c } => {
+                if self.currencies.len() < 2 {
+                    return;
+                }
+                let i = 1 + c % (self.currencies.len() - 1);
+                let old = self.currencies[i];
+                let cur = self.ledger.currency(old).unwrap();
+                let doomed: Vec<TicketId> =
+                    cur.issued().iter().chain(cur.backing()).copied().collect();
+                for t in doomed {
+                    // A ticket both issued in and backing `old` cannot
+                    // exist (no self-funding), so each dies once.
+                    self.ledger.destroy_ticket(t).unwrap();
+                }
                 self.tickets.retain(|&t| self.ledger.ticket(t).is_ok());
+                self.ledger.destroy_currency(old).unwrap();
+                let new = self.ledger.create_currency(format!("c{i}")).unwrap();
+                assert_eq!(new.index(), old.index(), "currency slot not recycled");
+                self.currencies[i] = new;
             }
             Op::ReadClient { cl } => {
                 if let Some(&cl) = self.clients.get(cl % self.clients.len().max(1)) {
@@ -260,6 +299,24 @@ impl World {
                 self.ledger.cached_currency_value(c).unwrap();
             }
         }
+    }
+
+    /// Creates a client and warms its entry at creation (the mirror
+    /// protocol), like the scheduler does when it first enqueues a thread.
+    fn create_client(&mut self) -> ClientId {
+        let id = self
+            .ledger
+            .create_client(format!("cl{}", self.clients.len()));
+        let v = self.ledger.cached_client_value(id).unwrap();
+        self.mirror.insert(id, v);
+        id
+    }
+
+    /// Destroys a client with its funding tickets.
+    fn destroy_client(&mut self, cl: ClientId) {
+        self.ledger.destroy_client_and_funding(cl).unwrap();
+        self.mirror.remove(&cl);
+        self.tickets.retain(|&t| self.ledger.ticket(t).is_ok());
     }
 
     /// Contract 1: cached reads bit-equal a fresh valuator.
@@ -283,8 +340,13 @@ impl World {
     fn drain_and_check_mirror(&mut self) -> CheckResult {
         for cl in self.ledger.drain_dirty_clients() {
             prop_assert!(
+                self.ledger.client(cl).is_ok(),
+                "drained dead client handle {:?}",
+                cl
+            );
+            prop_assert!(
                 self.mirror.contains_key(&cl),
-                "drained unknown/destroyed client {:?}",
+                "drained unknown client {:?}",
                 cl
             );
             // Re-warming here is part of the protocol: only warm entries
@@ -326,6 +388,23 @@ proptest! {
         let mut world = World::new();
         for op in &ops {
             world.apply(op);
+            world.check_cache_matches_fresh()?;
+            world.drain_and_check_mirror()?;
+        }
+    }
+
+    /// The same contracts with drains only between batches, so slots are
+    /// recycled while the dead occupant's notification is still queued:
+    /// the drain must surface the live successor, never the dead handle.
+    #[test]
+    fn recycled_slots_stay_coherent_between_drains(
+        batches in prop::collection::vec(prop::collection::vec(op_strategy(), 1..10), 1..20),
+    ) {
+        let mut world = World::new();
+        for batch in &batches {
+            for op in batch {
+                world.apply(op);
+            }
             world.check_cache_matches_fresh()?;
             world.drain_and_check_mirror()?;
         }

@@ -206,6 +206,119 @@ proptest! {
     }
 }
 
+/// One mutation in a churn batch, applied between picks.
+#[derive(Debug, Clone)]
+enum Churn {
+    /// A fresh thread funded `100 * k` tickets (of the shared currency
+    /// when `shared`, else of base) spawns and is enqueued.
+    Spawn { k: u64, shared: bool },
+    /// Ready thread `t % ready` exits.
+    Exit { t: usize },
+    /// Ready thread `t % ready` is re-funded to `100 * k` tickets.
+    Inflate { t: usize, k: u64 },
+}
+
+fn churn_strategy() -> impl Strategy<Value = Churn> {
+    prop_oneof![
+        (1..6u64, any::<bool>()).prop_map(|(k, shared)| Churn::Spawn { k, shared }),
+        (0..16usize).prop_map(|t| Churn::Exit { t }),
+        (0..16usize, 1..6u64).prop_map(|(t, k)| Churn::Inflate { t, k }),
+    ]
+}
+
+/// Spawns, funds and enqueues a thread, recording it as ready.
+fn spawn_ready(
+    p: &mut DistributedLottery,
+    ready: &mut Vec<ThreadId>,
+    next: &mut u32,
+    spec: FundingSpec,
+) {
+    let tid = ThreadId::from_index(*next);
+    *next += 1;
+    p.on_spawn(tid, spec);
+    p.enqueue(tid, SimTime::ZERO);
+    ready.push(tid);
+}
+
+/// Checks every shard's mirror total against the ledger's value of the
+/// ready threads homed there.
+fn check_shard_mirrors(p: &mut DistributedLottery, ready: &[ThreadId], step: usize) {
+    for s in 0..p.shards() as u32 {
+        let total = p.shard_stats(s).ticket_total;
+        let expected: f64 = ready
+            .iter()
+            .filter(|&&tid| p.home_of(tid) == s)
+            .map(|&tid| p.value_of(tid))
+            .sum();
+        assert!(
+            (total - expected).abs() <= 1e-9 * expected.abs().max(1.0),
+            "shard {s} mirror total {total} != ledger value {expected} after pick {step}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Spawn/exit churn recycles ledger client slots while the dead
+    /// occupant's invalidation may still be queued. After every pick,
+    /// each shard's mirror must still hold exactly the ledger value of
+    /// its ready threads: a dead handle must never be drained in place of
+    /// its slot successor, nor resolve to the successor's thread.
+    #[test]
+    fn churn_keeps_every_shard_mirror_exact(
+        seed in 1..u32::MAX,
+        shards in 1..4usize,
+        alias in any::<bool>(),
+        batches in proptest::collection::vec(
+            proptest::collection::vec(churn_strategy(), 0..5),
+            1..60,
+        ),
+    ) {
+        let mut p = DistributedLottery::new(seed, shards);
+        p.set_structure(if alias { SelectStructure::Alias } else { SelectStructure::Tree });
+        let base = p.base_currency();
+        let shared = p.create_currency("shared", 1000).unwrap();
+        let mut ready = Vec::new();
+        let mut next = 0u32;
+        for k in 1..=4u64 {
+            spawn_ready(&mut p, &mut ready, &mut next, FundingSpec::new(shared, 100 * k));
+        }
+        let quantum = SimDuration::from_ms(100);
+        for (i, batch) in batches.iter().enumerate() {
+            let cpu = (i % shards) as u32;
+            if let Some(w) = p.pick_on(cpu, SimTime::ZERO) {
+                ready.retain(|&t| t != w);
+                check_shard_mirrors(&mut p, &ready, i);
+                p.charge(w, quantum, quantum, EndReason::QuantumExpired);
+                p.enqueue(w, SimTime::ZERO);
+                ready.push(w);
+            }
+            for churn in batch {
+                match *churn {
+                    Churn::Spawn { k, shared: in_shared } => {
+                        let currency = if in_shared { shared } else { base };
+                        let spec = FundingSpec::new(currency, 100 * k);
+                        spawn_ready(&mut p, &mut ready, &mut next, spec);
+                    }
+                    Churn::Exit { t } => {
+                        if !ready.is_empty() {
+                            let tid = ready.swap_remove(t % ready.len());
+                            p.on_exit(tid);
+                        }
+                    }
+                    Churn::Inflate { t, k } => {
+                        if !ready.is_empty() {
+                            let tid = ready[t % ready.len()];
+                            p.set_funding(tid, 100 * k).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     // Each case is a full SmpKernel simulation; a handful of cases at a
     // wide alarm band is the right trade against runtime.
