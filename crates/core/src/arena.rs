@@ -224,6 +224,104 @@ impl<T: fmt::Debug> fmt::Debug for Arena<T> {
     }
 }
 
+/// A dense side table keyed by the handles of one [`Arena<T>`].
+///
+/// Entry `i` belongs to the object in arena slot `i` and remembers the
+/// generation it was written for, so a lookup is an index and a compare,
+/// never a hash, and a handle to a destroyed object misses instead of
+/// reading its slot successor's entry. The table grows on first write to
+/// a slot and is never pre-sized.
+///
+/// ```
+/// use lottery_core::arena::{Arena, SlotTable};
+///
+/// let mut arena = Arena::new();
+/// let mut table = SlotTable::default();
+/// let old = arena.insert("old");
+/// table.insert(old, 1.0);
+/// arena.remove(old);
+/// let new = arena.insert("new"); // reuses the slot
+/// assert_eq!(table.get(new), None);
+/// table.insert(new, 2.0);
+/// assert_eq!(table.get(old), None);
+/// ```
+pub struct SlotTable<T, V> {
+    entries: Vec<Option<(u32, V)>>,
+    len: usize,
+    _marker: PhantomData<fn() -> T>,
+}
+
+impl<T, V> Default for SlotTable<T, V> {
+    fn default() -> Self {
+        Self {
+            entries: Vec::new(),
+            len: 0,
+            _marker: PhantomData,
+        }
+    }
+}
+
+impl<T, V> SlotTable<T, V> {
+    /// Number of present entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no entry is present.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The entry for `handle`, if one was written for its generation.
+    pub fn get(&self, handle: Handle<T>) -> Option<&V> {
+        match self.entries.get(handle.raw.index as usize) {
+            Some(Some((generation, value))) if *generation == handle.raw.generation => Some(value),
+            _ => None,
+        }
+    }
+
+    /// Writes the entry for `handle`, replacing whatever its slot held.
+    pub fn insert(&mut self, handle: Handle<T>, value: V) {
+        let index = handle.raw.index as usize;
+        if index >= self.entries.len() {
+            self.entries.resize_with(index + 1, || None);
+        }
+        let slot = &mut self.entries[index];
+        if slot.is_none() {
+            self.len += 1;
+        }
+        *slot = Some((handle.raw.generation, value));
+    }
+
+    /// Removes and returns the entry for `handle`; an entry written for
+    /// another generation of the slot is left alone.
+    pub fn remove(&mut self, handle: Handle<T>) -> Option<V> {
+        let slot = self.entries.get_mut(handle.raw.index as usize)?;
+        if !matches!(slot, Some((generation, _)) if *generation == handle.raw.generation) {
+            return None;
+        }
+        self.len -= 1;
+        slot.take().map(|(_, value)| value)
+    }
+
+    /// Removes every entry, keeping the storage.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.len = 0;
+    }
+
+    /// Present entries in slot order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.iter().flatten().map(|(_, value)| value)
+    }
+}
+
+impl<T, V: fmt::Debug> fmt::Debug for SlotTable<T, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.values()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,6 +387,32 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(a);
         assert!(set.contains(&copy));
+    }
+
+    #[test]
+    fn slot_table_checks_generations() {
+        let mut arena = Arena::new();
+        let mut table: SlotTable<&str, f64> = SlotTable::default();
+        let a = arena.insert("a");
+        table.insert(a, 1.0);
+        assert_eq!(table.get(a), Some(&1.0));
+        arena.remove(a);
+        let b = arena.insert("b");
+        assert_eq!(a.index(), b.index());
+        // The recycled slot's successor sees nothing, and writing it
+        // leaves the dead handle unable to read or remove the entry.
+        assert_eq!(table.get(b), None);
+        table.insert(b, 2.0);
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.get(a), None);
+        assert_eq!(table.remove(a), None);
+        assert_eq!(table.remove(b), Some(2.0));
+        assert_eq!(table.len(), 0);
+        let c = arena.insert("c");
+        table.insert(c, 3.0);
+        assert_eq!(table.values().copied().collect::<Vec<_>>(), vec![3.0]);
+        table.clear();
+        assert_eq!((table.len(), table.get(c)), (0, None));
     }
 
     #[test]

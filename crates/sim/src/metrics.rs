@@ -6,8 +6,6 @@
 //! kernel feeds every dispatch into [`Metrics`]; the experiment harness
 //! reads these out.
 
-use std::collections::HashMap;
-
 use lottery_stats::{ProgressSeries, Summary};
 
 use crate::thread::ThreadId;
@@ -63,7 +61,9 @@ impl ThreadMetrics {
 /// Whole-kernel accounting.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    threads: HashMap<ThreadId, ThreadMetrics>,
+    /// Per-thread accounting indexed by thread id; `None` for threads
+    /// never touched.
+    threads: Vec<Option<ThreadMetrics>>,
     /// Scheduling decisions made (one per dispatch).
     pub decisions: u64,
     /// Dispatches that switched to a different thread than last time.
@@ -82,12 +82,16 @@ impl Metrics {
 
     /// Accounting for one thread (creating it on first touch).
     pub(crate) fn thread_mut(&mut self, tid: ThreadId) -> &mut ThreadMetrics {
-        self.threads.entry(tid).or_default()
+        let idx = tid.index() as usize;
+        if idx >= self.threads.len() {
+            self.threads.resize_with(idx + 1, || None);
+        }
+        self.threads[idx].get_or_insert_with(ThreadMetrics::default)
     }
 
     /// Read-only per-thread metrics; `None` if the thread never ran.
     pub fn thread(&self, tid: ThreadId) -> Option<&ThreadMetrics> {
-        self.threads.get(&tid)
+        self.threads.get(tid.index() as usize)?.as_ref()
     }
 
     /// Records a run segment: `tid` consumed `ran` ending at `now`, with
