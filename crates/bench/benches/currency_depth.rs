@@ -65,7 +65,7 @@ fn bench_after_mutation(c: &mut Criterion) {
         let mut flip = false;
         // Each round invalidates one client (compensation change) and then
         // values everyone: one client revalidates against still-warm
-        // currency entries, the rest are hash lookups.
+        // currency entries, the rest are indexed lookups.
         group.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, _| {
             b.iter(|| {
                 flip = !flip;

@@ -21,6 +21,10 @@ run_bounded() {
   return "$status"
 }
 run_bounded 1800 "cargo test --workspace" cargo test -q --workspace
+# The benchmark is a package of its own, outside the workspace: run its
+# tests here too, so a library change that breaks it fails this gate.
+run_bounded 900 "benchmark tests" \
+  cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 for i in $(seq 1 20); do
   run_bounded 60 "os_mutex test run $i of 20" \
     cargo test -q -p lottery-sync --lib os_mutex > /dev/null
